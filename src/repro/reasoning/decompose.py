@@ -14,17 +14,24 @@ in a clause) and solves them:
 * variables touched only by their own soft unit clause(s) of one polarity
   are decided **closed-form** (assign the satisfying polarity; no search);
 * every remaining component becomes its own :class:`~.maxsat.WeightedMaxSat`
-  sub-instance with a seed derived via :func:`repro.determinism.stable_hash`
-  of the component's canonical key — *not* of its position in any worker's
+  sub-instance, routed by size (cheap and exact first, local search only
+  on the residue): a component of at most :data:`EXACT_MAX_VARIABLES`
+  variables is solved optimally by branch and bound
+  (:meth:`~.maxsat.WeightedMaxSat.solve_exact`); a larger one goes to
+  WalkSAT with a seed derived via :func:`repro.determinism.stable_hash` of
+  the component's canonical key — *not* of its position in any worker's
   batch — and a flip budget scaled to the component size;
 * component batches fan out over a :mod:`repro.bigdata.backends` executor
   (serial, thread, or process), and the per-component ``(hard, soft)``
   costs and assignments merge in sorted-canonical-key order.
 
-Because the seed and budget of a component depend only on its content, and
-the merge order depends only on the canonical keys, the result is
-byte-identical no matter which backend ran the components or how many
-workers it used.
+Because the route, seed and budget of a component depend only on its
+content, and the merge order depends only on the canonical keys, the result
+is byte-identical no matter which backend ran the components or how many
+workers it used.  Among equally good assignments of an exact-routed
+component, branch and bound keeps the first in its documented search order
+(variables by clause involvement, then ``repr``; True before False) — so on
+an equal-weight functional tie the ``repr``-first candidate wins.
 """
 
 from __future__ import annotations
@@ -43,6 +50,20 @@ MIN_COMPONENT_FLIPS = 500
 
 #: Flip budget per component clause (the size-scaled part).
 FLIPS_PER_CLAUSE = 200
+
+#: Components with at most this many variables are solved exactly by branch
+#: and bound; only larger ones go to WalkSAT.  WalkSAT stops early only at
+#: soft cost 0, so a conflicted component burns its whole flip budget on
+#: every restart.  Measured per component (single-threaded): exact was
+#: faster at every size through 18 variables on functional cliques,
+#: exclusion chains and random exclusion graphs (16-variable clique: 147 vs
+#: 941 ms; chain: 140 vs 236 ms) and first lost on a 20-variable chain
+#: (799 vs 269 ms).
+EXACT_MAX_VARIABLES = 16
+
+#: The route marker an exact-routed work order carries in place of the
+#: WalkSAT parameters (seed, budget, restarts, noise).
+_EXACT_ROUTE = "exact"
 
 
 @dataclass(slots=True)
@@ -65,6 +86,11 @@ class Component:
         """The component's WalkSAT budget, scaled to its clause count."""
         scaled = max(MIN_COMPONENT_FLIPS, FLIPS_PER_CLAUSE * len(self.clause_indexes))
         return min(max_flips, scaled)
+
+    @property
+    def exact(self) -> bool:
+        """Whether the component is small enough for branch and bound."""
+        return len(self.variables) <= EXACT_MAX_VARIABLES
 
 
 @dataclass(slots=True)
@@ -173,7 +199,9 @@ class ComponentCache:
     outcome in every process — so an incremental re-reasoning pass can
     skip every component the new candidates did not touch and replay the
     stored outcome bit for bit.  Keys hash the full work order (canonical
-    key, clause payload, seed, budget, restarts, noise); values store the
+    key, clause payload, then either the exact route marker or the WalkSAT
+    seed, budget, restarts and noise — so a WalkSAT outcome is never
+    replayed into an exact-routed component); values store the
     assignment as a boolean vector aligned with the component's canonical
     variable order plus the exact soft/hard/flips numbers, which makes the
     cache JSON-serializable (floats round-trip exactly through ``repr``).
@@ -228,7 +256,8 @@ class ComponentCache:
 
 
 #: One component's picklable work order: (canonical key, clause payloads,
-#: seed, max_flips, restarts, noise).
+#: _EXACT_ROUTE) for an exact-routed component, else (canonical key, clause
+#: payloads, seed, max_flips, restarts, noise).
 _ComponentTask = tuple
 
 #: One component's picklable outcome: (key, assignment, soft, hard, flips).
@@ -250,14 +279,21 @@ def _solve_component_batch(batch: list[_ComponentTask]) -> list[_ComponentOutcom
     outcomes: list[_ComponentOutcome] = []
     with _obs.span("maxsat.component_batch") as tracing:
         clause_total = 0
-        for key, clause_payload, seed, max_flips, restarts, noise in batch:
+        exact = 0
+        for key, clause_payload, *route in batch:
             sub = WeightedMaxSat()
             for literals, weight in clause_payload:
                 sub.add_clause(literals, weight)
             clause_total += len(clause_payload)
-            result = sub.solve(
-                seed=seed, max_flips=max_flips, restarts=restarts, noise=noise
-            )
+            if route == [_EXACT_ROUTE]:
+                result = sub.solve_exact(max_variables=EXACT_MAX_VARIABLES)
+                exact += 1
+            else:
+                seed, max_flips, restarts, noise = route
+                result = sub.solve(
+                    seed=seed, max_flips=max_flips, restarts=restarts,
+                    noise=noise,
+                )
             outcomes.append(
                 (
                     key,
@@ -269,6 +305,8 @@ def _solve_component_batch(batch: list[_ComponentTask]) -> list[_ComponentOutcom
             )
         tracing.add("components", len(batch))
         tracing.add("clauses", clause_total)
+        tracing.add("exact", exact)
+        tracing.add("walksat", len(batch) - exact)
     return outcomes
 
 
@@ -289,8 +327,10 @@ def solve_decomposed(
     Semantically equivalent to :meth:`WeightedMaxSat.solve` — the optimum
     of a disconnected instance is the union of component optima — and
     byte-identical across worker counts, backends, and schedules:
-    component seeds and flip budgets derive from component content, and
-    costs/assignments merge in sorted-canonical-key order.  Passing a
+    component routes, seeds and flip budgets derive from component content,
+    and costs/assignments merge in sorted-canonical-key order.  Components
+    of at most :data:`EXACT_MAX_VARIABLES` variables are solved optimally
+    by branch and bound; the WalkSAT parameters apply to the rest.  Passing a
     resolved :class:`ExecutionBackend` reuses its (persistent) pool; a
     string spec resolves — and closes — a backend per call.
 
@@ -306,25 +346,31 @@ def solve_decomposed(
             decomposition = decompose(problem)
     components = decomposition.components
     if _obs.ENABLED:
+        exact = sum(1 for component in components if component.exact)
         _obs.count("maxsat.components", len(components))
+        _obs.count("maxsat.exact_components", exact)
+        _obs.count("maxsat.walksat_components", len(components) - exact)
         _obs.count("maxsat.trivial_vars", len(decomposition.trivial))
         _obs.gauge("maxsat.largest_component", decomposition.largest_component)
 
     clauses = problem.clauses
-    tasks: list[_ComponentTask] = [
-        (
-            component.key,
-            [
-                (clauses[index].literals, clauses[index].weight)
-                for index in component.clause_indexes
-            ],
-            component.seed(seed),
-            component.flip_budget(max_flips),
-            restarts,
-            noise,
-        )
-        for component in components
-    ]
+    tasks: list[_ComponentTask] = []
+    for component in components:
+        payload = [
+            (clauses[index].literals, clauses[index].weight)
+            for index in component.clause_indexes
+        ]
+        if component.exact:
+            tasks.append((component.key, payload, _EXACT_ROUTE))
+        else:
+            tasks.append((
+                component.key,
+                payload,
+                component.seed(seed),
+                component.flip_budget(max_flips),
+                restarts,
+                noise,
+            ))
 
     # Split off cache replays: the cached positions are satisfied from the
     # stored outcomes, only the remainder goes to the solver fleet.

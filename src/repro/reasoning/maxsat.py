@@ -161,8 +161,10 @@ class WeightedMaxSat:
         The tutorial lists "weighted MaxSat or ILP solvers" for consistency
         reasoning; this is the exact 0-1 optimization route, feasible for
         small instances (bounded by ``max_variables``).  Branching order is
-        by clause involvement; the bound prunes branches whose already-lost
-        soft weight exceeds the incumbent.
+        by clause involvement (ties by ``repr``), True before False; the
+        bound prunes branches whose already-lost cost reaches the
+        incumbent's, so among equally good assignments the first one in
+        that order is returned.
         """
         variables = self.variables
         if len(variables) > max_variables:
@@ -212,6 +214,10 @@ class WeightedMaxSat:
 
         descend(0, {})
         hard, soft = best_key
+        if _obs.ENABLED:
+            _obs.count("maxsat.solve_calls")
+            _obs.count("maxsat.variables", len(self._variables))
+            _obs.count("maxsat.clauses", len(self._clauses))
         return MaxSatResult(best_assignment, soft, int(hard), flips=0)
 
     def _unit_propagate(self) -> dict[Hashable, bool]:

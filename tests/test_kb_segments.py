@@ -269,9 +269,21 @@ class TestLSMStack:
 
     def test_auto_compaction_over_threshold(self, tmp_path, store):
         seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=2)
+        schedule = seg.compact_async
+
+        def compact_and_wait():
+            # Each over-threshold flush waits for its compaction, so the
+            # stack the next flush sees never depends on thread timing.
+            thread = schedule()
+            if thread is not None:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            return thread
+
+        seg.compact_async = compact_and_wait
         for triple in sorted(store, key=repr):
             seg.flush([triple])
-        seg.close()  # joins the background compactor
+        seg.close()
         segments = {n.split(".")[0] for n in os.listdir(seg.directory) if n.startswith("seg-")}
         assert len(segments) == 1
         with open_snapshot(seg.directory) as snap:

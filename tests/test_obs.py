@@ -322,3 +322,53 @@ class TestInstrumentedComponents:
         assert counters["maxsat.components"] == report.components
         assert counters["maxsat.trivial_vars"] == report.trivial_vars
         assert counters.get("maxsat.solve_calls", 0) == report.components
+
+    def test_maxsat_routing_counters_and_batch_attributes(self):
+        from repro.reasoning import WeightedMaxSat, solve_decomposed
+        from repro.reasoning.decompose import EXACT_MAX_VARIABLES
+
+        problem = WeightedMaxSat()
+        # One exclusion pair (exact route) and one exclusion chain a
+        # variable above the cutoff (WalkSAT route).
+        problem.add_soft_unit("pair0", True, 0.9)
+        problem.add_soft_unit("pair1", True, 0.4)
+        problem.add_hard([("pair0", False), ("pair1", False)])
+        chain = [f"chain{i:02d}" for i in range(EXACT_MAX_VARIABLES + 1)]
+        for name in chain:
+            problem.add_soft_unit(name, True, 0.5)
+        for left, right in zip(chain, chain[1:]):
+            problem.add_hard([(left, False), (right, False)])
+
+        obs.enable()
+        solve_decomposed(problem, max_flips=300)
+        counters = obs.report_json()["counters"]
+        assert counters["maxsat.exact_components"] == 1
+        assert counters["maxsat.walksat_components"] == 1
+        assert counters["maxsat.components"] == 2
+        assert counters["maxsat.solve_calls"] == 2
+        (batch,) = [
+            span for span in obs.take_roots()
+            if span.name == "maxsat.component_batch"
+        ]
+        assert batch.counters["exact"] == 1
+        assert batch.counters["walksat"] == 1
+
+    def test_build_reports_how_components_were_routed(self):
+        from repro.corpus import build_wiki
+        from repro.pipeline import KnowledgeBaseBuilder
+        from repro.world import WorldConfig, generate_world
+
+        world = generate_world(WorldConfig(seed=7, n_people=20))
+        wiki = build_wiki(world)
+        obs.enable()
+        __, report = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        counters = obs.report_json()["counters"]
+        assert report.consistency.components > 0
+        assert "maxsat.exact_components" in counters
+        assert "maxsat.walksat_components" in counters
+        assert (
+            counters["maxsat.exact_components"]
+            + counters["maxsat.walksat_components"]
+            == counters["maxsat.components"]
+            == report.consistency.components
+        )

@@ -9,12 +9,20 @@ byte-identical results for every backend and worker count.
 
 from __future__ import annotations
 
+import importlib
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.corpus import build_wiki
 from repro.kb import Entity, Relation, Taxonomy, Triple, TripleStore
+from repro.kb.segments import diff_segment_dirs, open_snapshot, write_segments
 from repro.determinism import canonical_kb_text
 from repro.extraction.consistency import ConsistencyReasoner
+from repro.pipeline import IncrementalBuilder, KnowledgeBaseBuilder
+from repro.pipeline.incremental import STATE_NAME
 from repro.reasoning import (
     HARD,
     ComponentCache,
@@ -22,12 +30,17 @@ from repro.reasoning import (
     decompose,
     solve_decomposed,
 )
+from repro.reasoning.decompose import EXACT_MAX_VARIABLES
+from repro.world import WorldConfig, generate_world
+
+# The package re-exports the ``decompose`` function under the module's name.
+decompose_module = importlib.import_module("repro.reasoning.decompose")
 
 
-def _two_component_problem() -> WeightedMaxSat:
+def _two_component_problem(x0_weight: float = 0.9) -> WeightedMaxSat:
     problem = WeightedMaxSat()
     # Component A: x0/x1 mutually exclusive.
-    problem.add_soft_unit("x0", True, 0.9)
+    problem.add_soft_unit("x0", True, x0_weight)
     problem.add_soft_unit("x1", True, 0.4)
     problem.add_hard([("x0", False), ("x1", False)])
     # Component B: a three-variable chain.
@@ -144,12 +157,10 @@ class TestSolveDecomposed:
             assert result.hard_violations == uncached.hard_violations
 
     def test_component_cache_entries_round_trip_through_json(self):
-        import json as _json
-
         cache = ComponentCache()
         solve_decomposed(_two_component_problem(), seed=3, cache=cache)
         revived = ComponentCache(
-            _json.loads(_json.dumps(cache.entries))
+            json.loads(json.dumps(cache.entries))
         )
         replay = solve_decomposed(
             _two_component_problem(), seed=3, cache=revived
@@ -162,10 +173,20 @@ class TestSolveDecomposed:
     def test_component_cache_ignores_mismatched_content(self):
         cache = ComponentCache()
         solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        # A different seed changes every work order: all misses again.
-        solve_decomposed(_two_component_problem(), seed=4, cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 4
+        # A changed clause weight changes component A's work order only.
+        solve_decomposed(
+            _two_component_problem(x0_weight=0.8), seed=3, cache=cache
+        )
+        assert cache.hits == 1
+        assert cache.misses == 3
+        # A WalkSAT work order carries its seed: a different seed misses.
+        above_cutoff = [0.5] * (EXACT_MAX_VARIABLES + 1)
+        for seed in (3, 4):
+            solve_decomposed(
+                _random_component(above_cutoff, [], []), seed=seed, cache=cache
+            )
+        assert cache.hits == 1
+        assert cache.misses == 5
 
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 0), ("thread", 2), ("process", 2),
@@ -204,6 +225,52 @@ class TestSolveDecomposed:
             )
             assert again.assignment == reference.assignment
             assert again.soft_cost == reference.soft_cost
+
+
+class TestSizeRouting:
+    def test_equal_weight_tie_keeps_repr_first_candidate(self):
+        tie = WeightedMaxSat()
+        tie.add_soft_unit("b", True, 0.9)
+        tie.add_soft_unit("a", True, 0.9)
+        tie.add_hard([("a", False), ("b", False)])
+        assert solve_decomposed(tie).true_variables() == {"a"}
+
+    def test_walksat_entry_is_not_replayed_into_exact_component(
+        self, monkeypatch
+    ):
+        problem = _two_component_problem()
+        cache = ComponentCache()
+        with monkeypatch.context() as legacy:
+            # Work orders as written before size routing: every component
+            # carried WalkSAT parameters.
+            legacy.setattr(decompose_module, "EXACT_MAX_VARIABLES", 0)
+            solve_decomposed(problem, seed=3, cache=cache)
+        components = decompose(problem).components
+        legacy_keys = {
+            ComponentCache.task_key((
+                component.key,
+                [
+                    (problem.clauses[i].literals, problem.clauses[i].weight)
+                    for i in component.clause_indexes
+                ],
+                component.seed(3),
+                component.flip_budget(20_000),
+                3,
+                0.1,
+            ))
+            for component in components
+        }
+        assert set(cache.entries) == legacy_keys
+        # Poison the legacy outcomes: a replay would reject every fact.
+        for entry in cache.entries.values():
+            entry["assignment"] = [False] * len(entry["assignment"])
+            entry["soft"] = 99.0
+        cache.hits = cache.misses = 0
+
+        result = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
+        assert cache.hits == 0 and cache.misses == 2
+        assert result.flips == 0
+        assert result.soft_cost == pytest.approx(_brute_force_key(problem)[1])
 
 
 # ------------------------------------------------- randomized equivalence
@@ -293,6 +360,60 @@ class TestDecomposedVsMonolithicProperty:
             )
 
 
+def _random_component(weights, extra, doubts) -> WeightedMaxSat:
+    """One connected component: an exclusion chain over every variable,
+    extra exclusions, and soft negative units that pull against facts."""
+    chain = [(i, i + 1) for i in range(len(weights) - 1)]
+    problem = _random_problem(weights, chain + extra)
+    for index, weight in doubts:
+        problem.add_soft_unit(f"v{index % len(weights)}", False, round(weight, 3))
+    return problem
+
+
+_VARIABLE = st.integers(0, EXACT_MAX_VARIABLES - 1)
+
+
+class TestExactRouteProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.lists(st.floats(0.1, 1.0), min_size=2, max_size=EXACT_MAX_VARIABLES),
+        st.lists(st.tuples(_VARIABLE, _VARIABLE), max_size=8),
+        st.lists(st.tuples(_VARIABLE, st.floats(0.1, 1.0)), max_size=4),
+    )
+    def test_routed_solve_is_optimal_and_never_worse_than_walksat(
+        self, weights, extra, doubts
+    ):
+        problem = _random_component(weights, extra, doubts)
+        (component,) = decompose(problem).components
+        assert component.exact
+        routed = solve_decomposed(problem, seed=1)
+        assert routed.flips == 0
+        optimum = _brute_force_key(problem)
+        assert routed.hard_violations == optimum[0]
+        assert routed.soft_cost == pytest.approx(optimum[1], abs=1e-6)
+        walksat = problem.solve(
+            seed=component.seed(1), max_flips=component.flip_budget(20_000)
+        )
+        assert (routed.hard_violations, routed.soft_cost) <= (
+            walksat.hard_violations, walksat.soft_cost + 1e-6
+        )
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        st.lists(
+            st.floats(0.1, 1.0),
+            min_size=EXACT_MAX_VARIABLES + 1,
+            max_size=EXACT_MAX_VARIABLES + 1,
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_one_above_cutoff_takes_walksat(self, weights, seed):
+        problem = _random_component(weights, [], [])
+        (component,) = decompose(problem).components
+        assert not component.exact
+        assert solve_decomposed(problem, seed=seed, max_flips=300).flips > 0
+
+
 # --------------------------------------------- cleaned-KB byte equality
 
 def _noisy_candidates(world) -> TripleStore:
@@ -373,3 +494,47 @@ class TestCleanedKbCrossBackend:
         assert (
             report.accepted + report.rejected == report.candidates
         )
+
+
+# ------------------------------------- incremental over a pre-routing state
+
+
+class TestIncrementalOverWalksatState:
+    def test_converges_to_full_rebuild_bytes(self, tmp_path, monkeypatch):
+        world = generate_world(WorldConfig(seed=7, n_people=30))
+        wiki = build_wiki(world)
+        titles = sorted(wiki.pages)
+        cut = int(len(titles) * 0.8)
+        directory = str(tmp_path / "inc")
+        with monkeypatch.context() as legacy:
+            # A state written before size routing: every component was
+            # solved, and cached, under a WalkSAT work order.
+            legacy.setattr(decompose_module, "EXACT_MAX_VARIABLES", 0)
+            with IncrementalBuilder(directory) as builder:
+                builder.ingest(
+                    pages=[wiki.pages[t] for t in titles[:cut]],
+                    aliases=world.aliases,
+                )
+        state_path = os.path.join(directory, STATE_NAME)
+        with open(state_path, encoding="utf-8") as handle:
+            state = json.load(handle)
+        assert state["components"]
+        # Poison every legacy outcome, so any replay would change the KB.
+        for entry in state["components"].values():
+            entry["assignment"] = [not value for value in entry["assignment"]]
+        with open(state_path, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+
+        with IncrementalBuilder(directory) as builder:
+            report = builder.ingest(
+                pages=[wiki.pages[t] for t in titles[cut:]], compact=True
+            )
+        assert report.components > 0
+        assert report.cached_components == 0
+
+        kb, __ = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        with open_snapshot(directory) as snapshot:
+            assert canonical_kb_text(snapshot) == canonical_kb_text(kb)
+        oneshot = str(tmp_path / "oneshot")
+        write_segments(kb, oneshot)
+        assert diff_segment_dirs(directory, oneshot) == []
