@@ -9,12 +9,10 @@ contributing rejections.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
-from repro.bigdata.backends import get_backend
 from repro.corpus import CorpusConfig, synthesize
 from repro.corpus.document import corpus_gold_facts
 from repro.eval import precision_recall, print_table
@@ -111,15 +109,14 @@ def test_e04_consistency_cleaning(benchmark, bench_world, noisy_store):
 
 
 @pytest.mark.benchmark(group="e04")
-def test_e04_decomposed_parallel_maxsat(benchmark, bench_world, noisy_store):
+def test_e04_decomposed_maxsat(benchmark, bench_world, noisy_store):
     """Component decomposition ablation: monolithic vs decomposed MaxSat.
 
     The consistency instance shatters into many small components
     (functionality groups by (s, relation), disjointness by (s, o)), so
     the decomposed solver reaches the same (hard, soft) key while doing
-    far less search — and the components parallelize across backends.
-    Records the component-count distribution and parallel speedups into
-    ``--benchmark-json`` via ``extra_info``.
+    far less search.  Records the component-count distribution and the
+    speedup into ``--benchmark-json`` via ``extra_info``.
     """
     store, __ = noisy_store
     taxonomy = Taxonomy(bench_world.store)
@@ -132,63 +129,27 @@ def test_e04_decomposed_parallel_maxsat(benchmark, bench_world, noisy_store):
     monolithic = problem.solve(seed=0)
     monolithic_s = time.perf_counter() - start
 
-    def decomposed_with(backend: str, workers: int) -> tuple[float, object]:
+    def decomposed() -> tuple[float, object]:
         fresh_problem, ___, ____ = reasoner.ground(store)
         begin = time.perf_counter()
-        result = solve_decomposed(
-            fresh_problem, seed=0, backend=backend, workers=workers
-        )
+        result = solve_decomposed(fresh_problem, seed=0)
         return time.perf_counter() - begin, result
 
-    serial_s, serial_result = decomposed_with("serial", 0)
+    serial_s, serial_result = decomposed()
     timings = {"monolithic": monolithic_s, "decomposed-serial": serial_s}
     rows = [
-        ["monolithic", 1, round(monolithic_s, 4), "-"],
+        ["monolithic", round(monolithic_s, 4), "-"],
         [
-            "decomposed serial", 1, round(serial_s, 4),
+            "decomposed", round(serial_s, 4),
             round(monolithic_s / serial_s, 2) if serial_s else float("inf"),
         ],
     ]
-    # Persistent pools: each backend is resolved once and reused across
-    # repeated solves — one spinup per build, not one per clean().
-    pools = {name: get_backend(name, 2) for name in ("thread", "process")}
-    try:
-        for name, pool in pools.items():
-            elapsed, result = decomposed_with(pool, 2)
-            assert result.assignment == serial_result.assignment, name
-            assert result.soft_cost == serial_result.soft_cost, name
-            # A second solve over the already-warm pool.
-            warm_s, warm_result = decomposed_with(pool, 2)
-            assert warm_result.assignment == serial_result.assignment, name
-            timings[f"decomposed-{name}2"] = elapsed
-            timings[f"decomposed-{name}2-warm"] = warm_s
-            rows.append(
-                [
-                    f"decomposed {name} x2", 2,
-                    round(elapsed, 4),
-                    round(monolithic_s / elapsed, 2) if elapsed else float("inf"),
-                ]
-            )
-            rows.append(
-                [
-                    f"decomposed {name} x2 (warm pool)", 2,
-                    round(warm_s, 4),
-                    round(monolithic_s / warm_s, 2) if warm_s else float("inf"),
-                ]
-            )
-        pool_counters = {
-            name: {"spinups": pool.spinups, "reuses": pool.reuses}
-            for name, pool in pools.items()
-        }
-    finally:
-        for pool in pools.values():
-            pool.close()
 
     print_table(
         "E4b: component-decomposed MaxSat "
         f"({len(sizes)} components, largest {max(sizes, default=0)} vars, "
         f"{len(decomposition.trivial)} closed-form vars)",
-        ["solver", "workers", "seconds", "speedup vs monolithic"],
+        ["solver", "seconds", "speedup vs monolithic"],
         rows,
     )
 
@@ -201,28 +162,16 @@ def test_e04_decomposed_parallel_maxsat(benchmark, bench_world, noisy_store):
     benchmark.extra_info["timings_s"] = {
         label: round(value, 6) for label, value in timings.items()
     }
-    benchmark.extra_info["speedup_vs_monolithic"] = {
-        label: round(monolithic_s / value, 3) if value else None
-        for label, value in timings.items()
-        if label != "monolithic"
-    }
-    benchmark.extra_info["pool_spinups"] = pool_counters["process"]["spinups"]
-    benchmark.extra_info["pool_reuses"] = pool_counters["process"]["reuses"]
-    benchmark.extra_info["pool_counters"] = pool_counters
+    benchmark.extra_info["speedup_vs_monolithic"] = (
+        round(monolithic_s / serial_s, 3) if serial_s else None
+    )
 
-    benchmark(lambda: decomposed_with("serial", 0))
+    benchmark(decomposed)
 
     # Same solution quality as the monolithic solver ...
     assert serial_result.hard_violations == monolithic.hard_violations
     assert serial_result.soft_cost == pytest.approx(
         monolithic.soft_cost, abs=1e-6
     )
-    # Persistent pools: the second solve reused the first solve's pool
-    # (>= 1 fewer spinup per build than spin-per-call dispatch).
-    for name, counter in pool_counters.items():
-        assert counter["spinups"] == 1, name
-        assert counter["reuses"] >= 1, name
-    # ... while never slower serially, and faster with >= 2 real cores.
+    # ... while never slower.
     assert serial_s <= monolithic_s * 1.10
-    if (os.cpu_count() or 1) >= 2:
-        assert timings["decomposed-process2"] < monolithic_s

@@ -2,8 +2,8 @@
 
 Reproduces the map-reduce scaling shape on the in-process engine: shuffle
 volume grows linearly with corpus size, per-shard load stays balanced
-(small skew), a combiner cuts shuffled records, and end-to-end KB
-construction through map-reduce matches the serial build while reporting
+(small skew), a combiner cuts shuffled records, and per-page extraction
+run as a map-reduce job builds the serial KB byte for byte while reporting
 cluster-style counters.  The parallel-extraction benchmark measures real
 wall-clock speedup and per-worker utilization of the process backend
 (speedup asserts only run on machines with enough cores).
@@ -18,12 +18,34 @@ import pytest
 
 from repro import obs
 from repro.bigdata import MapReduce
-from repro.bigdata.backends import get_backend
-from repro.corpus import CorpusConfig, build_wiki, synthesize
+from repro.corpus import CorpusConfig, synthesize
 from repro.determinism import canonical_kb_text
 from repro.eval import print_table
 from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
+from repro.pipeline.builder import PageExtractor
 from repro.world import WorldConfig, generate_world
+
+
+def _mapreduce_candidates(builder, shards: int):
+    """Per-page extraction as a map-reduce job over ``builder``'s wiki.
+
+    Candidates come back grouped by shard and key rather than in page
+    order; the build's merge is order-independent, so injecting them
+    through ``build(candidates=...)`` yields the serial KB.
+    """
+    extractor = PageExtractor(builder.resolver, builder.config)
+
+    def mapper(page):
+        for candidate in extractor.extract(page):
+            yield repr(candidate.key()), candidate
+
+    def reducer(key, candidates):
+        yield from candidates
+
+    pages = builder.wiki.pages
+    return MapReduce(shards=shards).run(
+        [pages[title] for title in sorted(pages)], mapper, reducer
+    )
 
 
 @pytest.mark.benchmark(group="e11")
@@ -93,18 +115,16 @@ def test_e11_extraction_through_mapreduce(benchmark, bench_world, bench_wiki):
     start = time.perf_counter()
     serial_kb, serial_report = serial_builder.build()
     serial_time = time.perf_counter() - start
+    reference = canonical_kb_text(serial_kb)
     rows.append(["serial", serial_report.accepted_facts, "-", "-", round(serial_time, 2)])
 
     for shards in (2, 4, 8):
-        builder = KnowledgeBaseBuilder(
-            bench_wiki,
-            aliases=bench_world.aliases,
-            config=BuildConfig(mapreduce_shards=shards),
-        )
+        builder = KnowledgeBaseBuilder(bench_wiki, aliases=bench_world.aliases)
         start = time.perf_counter()
-        kb, report = builder.build()
+        candidates, stats = _mapreduce_candidates(builder, shards)
+        kb, report = builder.build(candidates=candidates)
         elapsed = time.perf_counter() - start
-        stats = report.mapreduce
+        assert canonical_kb_text(kb) == reference, shards
         rows.append(
             [
                 f"map-reduce x{shards}",
@@ -115,63 +135,69 @@ def test_e11_extraction_through_mapreduce(benchmark, bench_world, bench_wiki):
             ]
         )
 
+    unreasoned = KnowledgeBaseBuilder(
+        bench_wiki,
+        aliases=bench_world.aliases,
+        config=BuildConfig(use_consistency=False),
+    )
     benchmark(
-        KnowledgeBaseBuilder(
-            bench_wiki,
-            aliases=bench_world.aliases,
-            config=BuildConfig(mapreduce_shards=4, use_consistency=False),
-        ).build
+        lambda: unreasoned.build(
+            candidates=_mapreduce_candidates(unreasoned, 4)[0]
+        )
     )
 
     print_table(
-        "E11b: end-to-end KB build, serial vs map-reduce",
+        "E11b: end-to-end KB build, serial vs map-reduce extraction",
         ["execution", "accepted facts", "shuffled", "skew", "seconds"],
         rows,
     )
-    serial_facts = rows[0][1]
-    for row in rows[1:]:
-        assert abs(row[1] - serial_facts) / serial_facts < 0.05
 
 
 @pytest.mark.benchmark(group="e11")
 def test_e11_parallel_extraction_speedup(benchmark, bench_world, bench_wiki):
     """Wall-clock speedup and per-worker utilization of parallel extraction.
 
-    Times the extraction stage alone (the part the backends parallelize;
-    consistency reasoning stays in the parent) for 1, 2, and 4 process
-    workers, then reads per-worker busy time out of the merged telemetry.
-    Utilization = total worker busy time / (workers x stage wall time).
+    Times the extraction stage alone (the part the process pool
+    parallelizes; every later stage stays in the parent) for 1, 2, and 4
+    workers — the ``pipeline.extract`` span of a build, which includes the
+    pool spin-up — then reads per-worker busy time out of the merged
+    telemetry.  Utilization = total worker busy time / (workers x stage
+    wall time).
     """
     cores = os.cpu_count() or 1
-    builder = KnowledgeBaseBuilder(bench_wiki, aliases=bench_world.aliases)
 
-    def extract_with(workers: int) -> tuple[float, list, float]:
-        backend = get_backend("auto", workers)
+    def extract_with(workers: int) -> tuple[float, str, float]:
+        builder = KnowledgeBaseBuilder(
+            bench_wiki,
+            aliases=bench_world.aliases,
+            config=BuildConfig(workers=workers, use_consistency=False),
+        )
         obs.reset()
         obs.enable()
         try:
-            start = time.perf_counter()
-            candidates = builder._extract_pages(backend)
-            elapsed = time.perf_counter() - start
+            kb, __ = builder.build()
             stages = obs.stage_breakdown()
         finally:
             obs.disable()
             obs.reset()
+        elapsed = next(
+            stage["total_s"]
+            for stage in stages
+            if stage["stage"].endswith("/pipeline.extract")
+        )
         busy = sum(
             stage["total_s"]
             for stage in stages
             if stage["stage"].split("/")[-1].startswith("worker[")
         )
-        return elapsed, candidates, busy
+        return elapsed, canonical_kb_text(kb), busy
 
-    serial_time, serial_candidates, __ = extract_with(1)
+    serial_time, serial_text, __ = extract_with(1)
     rows = [["serial", 1, round(serial_time, 3), "-", "-", "-"]]
     speedups = {}
     for workers in (2, 4):
-        elapsed, candidates, busy = extract_with(workers)
-        assert [c.key() for c in candidates] == [
-            c.key() for c in serial_candidates
-        ]
+        elapsed, text, busy = extract_with(workers)
+        assert text == serial_text
         speedup = serial_time / elapsed if elapsed else float("inf")
         utilization = busy / (workers * elapsed) if elapsed else 0.0
         speedups[workers] = speedup
@@ -200,135 +226,12 @@ def test_e11_parallel_extraction_speedup(benchmark, bench_world, bench_wiki):
         assert speedups[4] > 1.3
 
 
-# Module-level so the process backend can pickle it by reference.
-def _spin(units: int) -> int:
-    """Deterministic CPU burn whose cost is proportional to ``units``."""
-    with obs.span("bench.spin"):
-        total = 0
-        for i in range(units * 100_000):
-            total += i * i
-    return total % 1_000_003
-
-
-@pytest.mark.benchmark(group="e11")
-def test_e11_work_stealing_skew(benchmark):
-    """Work-stealing vs static dispatch on a skewed task set.
-
-    The task set hides one straggler (6x the unit cost) at the *end* of
-    the index order, the worst case for static dispatch: the straggler
-    starts last and runs alone while the other worker idles.  Stealing
-    sorts the shared queue largest-estimated-cost-first, so the straggler
-    starts immediately and the small tasks pack around it.  One persistent
-    two-process pool serves every run — the pool-reuse counters and the
-    per-worker utilization histograms land in ``--benchmark-json``.
-    """
-    from repro.bigdata.backends import ProcessBackend
-
-    cores = os.cpu_count() or 1
-    costs = [6] * 6 + [36]  # the straggler is last in index order
-    expected = [_spin(c) for c in costs]
-
-    def run(backend, schedule: str) -> dict:
-        obs.reset()
-        obs.enable()
-        try:
-            start = time.perf_counter()
-            results = backend.map(
-                _spin, costs, schedule=schedule, cost_key=lambda cost: cost
-            )
-            elapsed = time.perf_counter() - start
-            histograms = obs.core.histograms()
-            counters = obs.core.counters()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert results == expected, schedule
-        tasks_per_worker = sorted(
-            histograms["backend.worker.tasks"].values, reverse=True
-        )
-        busy = sum(histograms["backend.worker.busy_s"].values)
-        return {
-            "seconds": elapsed,
-            "tasks_per_worker": tasks_per_worker,
-            "busy_s": busy,
-            "utilization": (
-                busy / (backend.workers * elapsed) if elapsed else 0.0
-            ),
-            "tasks_dispatched": counters.get("backend.tasks_dispatched", 0),
-        }
-
-    with ProcessBackend(2) as backend:
-        run(backend, "static")  # warm the pool so timing excludes spinup
-        # Best-of-3 per schedule: the gap under test is tens of ms.
-        static = min(
-            (run(backend, "static") for __ in range(3)),
-            key=lambda mode: mode["seconds"],
-        )
-        steal = min(
-            (run(backend, "steal") for __ in range(3)),
-            key=lambda mode: mode["seconds"],
-        )
-        spinups, reuses = backend.spinups, backend.reuses
-
-    rows = [
-        [
-            label,
-            round(mode["seconds"], 3),
-            "/".join(str(n) for n in mode["tasks_per_worker"]),
-            round(mode["busy_s"], 3),
-            f"{mode['utilization']:.0%}",
-        ]
-        for label, mode in (("static", static), ("steal", steal))
-    ]
-    print_table(
-        "E11e: work-stealing vs static dispatch "
-        f"(6 unit tasks + 1 six-fold straggler, 2 process workers, {cores} cores)",
-        ["schedule", "seconds", "tasks/worker", "busy s", "util"],
-        rows,
-    )
-
-    benchmark.extra_info["pool_spinups"] = spinups
-    benchmark.extra_info["pool_reuses"] = reuses
-    benchmark.extra_info["tasks_dispatched"] = steal["tasks_dispatched"]
-    benchmark.extra_info["worker_utilization"] = {
-        label: {
-            "tasks_per_worker": mode["tasks_per_worker"],
-            "busy_s": round(mode["busy_s"], 6),
-            "utilization": round(mode["utilization"], 4),
-        }
-        for label, mode in (("static", static), ("steal", steal))
-    }
-    benchmark.extra_info["timings_s"] = {
-        "static": round(static["seconds"], 6),
-        "steal": round(steal["seconds"], 6),
-    }
-
-    with ProcessBackend(2) as bench_backend:
-        bench_backend.map(_spin, [1])  # spin up outside the timed region
-        benchmark(
-            bench_backend.map, _spin, costs,
-            schedule="steal", cost_key=lambda cost: cost,
-        )
-
-    # One persistent pool served the warmup and all measured runs.
-    assert spinups == 1
-    assert reuses >= 2
-    # Every run dispatched every task, and both workers reported in.
-    assert static["tasks_dispatched"] == len(costs)
-    assert steal["tasks_dispatched"] == len(costs)
-    assert len(steal["tasks_per_worker"]) == 2
-    assert sum(steal["tasks_per_worker"]) == len(costs)
-    # With real cores, stealing never loses badly to static on this skew
-    # (usually it wins — the straggler overlaps the small tasks).
-    if cores >= 2:
-        assert steal["seconds"] <= static["seconds"] * 1.25
-
-
 @pytest.mark.benchmark(group="e11")
 def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wiki):
     """The per-page extractor construction cost is gone from the stage
-    breakdown (extractors are hoisted to the worker initializer), and all
-    execution modes produce byte-identical KBs on the bench world."""
+    breakdown (extractors are hoisted to the worker initializer), and the
+    process build and map-reduce extraction produce the serial KB's bytes
+    on the bench world."""
     config = BuildConfig(use_consistency=False)
     builder = KnowledgeBaseBuilder(
         bench_wiki, aliases=bench_world.aliases, config=config
@@ -355,17 +258,16 @@ def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wik
         rows,
     )
     reference = canonical_kb_text(kb)
-    for label, overrides in (
-        ("shards4", {"mapreduce_shards": 4}),
-        ("thread2", {"workers": 2, "backend": "thread"}),
-        ("process2", {"workers": 2, "backend": "process"}),
-    ):
-        other_kb, __ = KnowledgeBaseBuilder(
-            bench_wiki,
-            aliases=bench_world.aliases,
-            config=BuildConfig(use_consistency=False, **overrides),
-        ).build()
-        assert canonical_kb_text(other_kb) == reference, label
+    process_kb, __ = KnowledgeBaseBuilder(
+        bench_wiki,
+        aliases=bench_world.aliases,
+        config=BuildConfig(use_consistency=False, workers=2),
+    ).build()
+    assert canonical_kb_text(process_kb) == reference, "process2"
+    mapreduce_kb, __ = builder.build(
+        candidates=_mapreduce_candidates(builder, 4)[0]
+    )
+    assert canonical_kb_text(mapreduce_kb) == reference, "mapreduce4"
     assert extract["total_s"] > 0
 
     benchmark(

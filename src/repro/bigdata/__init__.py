@@ -1,7 +1,6 @@
 """Big-data substrates: map-reduce, frequent sequence mining, MinHash/LSH."""
 
 from .backends import advise_worker_count, chunked, get_backend
-from .costs import CostModel, batch_key, split_dominant
 from .mapreduce import JobStats, MapReduce, word_count
 from .seqmining import closed_sequences, frequent_sequences
 from .minhash import MinHasher, jaccard, lsh_candidate_pairs, shingles
@@ -10,9 +9,6 @@ __all__ = [
     "advise_worker_count",
     "chunked",
     "get_backend",
-    "CostModel",
-    "batch_key",
-    "split_dominant",
     "JobStats",
     "MapReduce",
     "word_count",

@@ -9,13 +9,10 @@ bytes shuffled per shard.  The scaling experiment (E11) reads those
 counters instead of wall-clock network time.
 
 The map phase runs through a pluggable :mod:`~repro.bigdata.backends`
-executor: serial (the default), a thread pool, or a real process pool.
-Chunked inputs keep worker dispatch coarse; shuffle and reduce stay in the
-parent, and because chunk results come back in input order the job output
-is byte-identical across backends — and across dispatch schedules: with
-``schedule="steal"`` workers pull the largest remaining chunk from the
-shared queue first, which tightens the makespan on skewed inputs without
-changing a single output byte.  With the process backend, the mapper
+executor: serial (the default) or a real process pool.  Chunked inputs
+keep worker dispatch coarse; shuffle and reduce stay in the parent, and
+because chunk results come back in input order the job output is
+byte-identical across backends.  With the process backend, the mapper
 (and the optional ``initializer``) must be picklable module-level
 functions.
 """
@@ -30,7 +27,6 @@ from typing import Callable, Generic, Iterable, Optional, TypeVar
 from ..determinism.stable import stable_hash
 from ..obs import core as _obs
 from .backends import ExecutionBackend, chunked
-from .costs import CostModel, batch_key, make_batch_estimator, split_dominant
 
 I = TypeVar("I")   # input record
 K = TypeVar("K")   # intermediate key
@@ -136,19 +132,11 @@ class MapReduce(Generic[I, K, V, R]):
         self,
         shards: int = 4,
         backend: Optional[ExecutionBackend] = None,
-        schedule: str = "static",
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
         self.backend = backend
-        self.schedule = schedule
-        # Optional measured-cost model: per-chunk map wall seconds are
-        # recorded under the chunk's batch key and replayed as steal
-        # estimates by later jobs that see the same chunks (execution
-        # policy only — never changes output bytes).
-        self.cost_model = cost_model
 
     def run(
         self,
@@ -179,27 +167,11 @@ class MapReduce(Generic[I, K, V, R]):
             ]
             with _obs.span("mapreduce.map"):
                 if self.backend is not None and self.backend.workers > 1:
-                    chunks = chunked(list(inputs), self.backend.workers * 4)
-                    if self.cost_model is not None:
-                        # Adaptive splitting: a chunk estimated well above
-                        # the mean is halved before dispatch (results
-                        # still concatenate in input order).
-                        chunks = split_dominant(
-                            chunks,
-                            make_batch_estimator(self.cost_model, chunks),
-                        )
-                    mapped = self.backend.map(
+                    pair_stream = self.backend.map(
                         _map_chunk,
-                        chunks,
+                        chunked(list(inputs), self.backend.workers * 4),
                         initializer=_mapreduce_worker_init,
                         initargs=(mapper, initializer, initargs),
-                        schedule=self.schedule,
-                        cost_key=len,
-                        cost_model=self.cost_model,
-                        task_key=batch_key,
-                    )
-                    pair_stream = (
-                        (records, pairs) for records, pairs in mapped
                     )
                 else:
                     if initializer is not None:

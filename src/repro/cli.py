@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 
 from . import obs
 from .analytics.qa import TemplateQA
-from .bigdata.backends import BACKEND_NAMES, SCHEDULE_NAMES
 from .corpus import build_wiki
 from .extraction.resolution import NameResolver
 from .kb import Entity, Literal, Relation, load, ns, save
@@ -77,55 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print a span tree and metrics table for the pipeline run",
     )
     build.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run extraction through map-reduce with this many shards",
-    )
-    build.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="fan per-page extraction out over this many workers "
-        "(0 or 1 = in-process)",
-    )
-    build.add_argument(
-        "--backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="execution backend for --workers "
-        "(auto = process pool when workers > 1)",
-    )
-    build.add_argument(
-        "--reasoner-workers",
-        type=int,
-        default=0,
-        help="fan consistency-reasoning MaxSat components out over this "
-        "many workers (0 or 1 = in-process)",
-    )
-    build.add_argument(
-        "--reasoner-backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="execution backend for --reasoner-workers "
-        "(auto = process pool when reasoner workers > 1)",
-    )
-    build.add_argument(
-        "--schedule",
-        choices=SCHEDULE_NAMES,
-        default="static",
-        help="worker dispatch: 'static' hands out task batches in index "
-        "order; 'steal' feeds workers from a shared queue largest-"
-        "estimated-cost-first (same KB bytes either way)",
-    )
-    build.add_argument(
-        "--corpus-transport",
-        choices=("auto", "memory", "file"),
-        default="auto",
-        help="how workers receive the corpus: 'memory' pickles the whole "
-        "Wiki into each worker, 'file' writes it once as a mmap-able "
-        "corpus file workers open pages from by title ('auto' = file "
-        "for process pools; same KB bytes either way)",
+        help="extract pages in a pool of this many processes, which read "
+        "the corpus from a mmap-able corpus file (0 or 1 = in-process; "
+        "same KB bytes either way)",
     )
     build.add_argument(
         "--corpus-file",
@@ -169,18 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--workers", type=int, default=0,
-        help="extraction/pipeline workers (0 or 1 = in-process)",
-    )
-    ingest.add_argument(
-        "--backend", choices=("auto",) + BACKEND_NAMES, default="auto",
-    )
-    ingest.add_argument("--reasoner-workers", type=int, default=0)
-    ingest.add_argument(
-        "--reasoner-backend", choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-    )
-    ingest.add_argument(
-        "--schedule", choices=SCHEDULE_NAMES, default="static",
+        help="extraction processes (0 or 1 = in-process)",
     )
 
     scenario = commands.add_parser(
@@ -205,9 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also emit the KB as a byte-pinned segment directory",
     )
     scenario_build.add_argument("--workers", type=int, default=0)
-    scenario_build.add_argument(
-        "--backend", choices=("auto",) + BACKEND_NAMES, default="auto"
-    )
     scenario_eval = scenario_actions.add_parser(
         "evaluate",
         help="build scenario(s) and score extraction + KB quality "
@@ -233,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the incremental-ingest leg of burst scenarios",
     )
     scenario_eval.add_argument("--workers", type=int, default=0)
-    scenario_eval.add_argument(
-        "--backend", choices=("auto",) + BACKEND_NAMES, default="auto"
-    )
 
     stats = commands.add_parser("stats", help="summarize a saved knowledge base")
     stats.add_argument("--kb", required=True)
@@ -297,17 +236,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="world size per run (small default keeps the check fast)",
     )
     determinism.add_argument(
-        "--shards", type=int, default=None,
-        help="also exercise the map-reduce extraction path",
-    )
-    determinism.add_argument(
         "--skip-lint", action="store_true",
         help="only run the subprocess comparison, not the iteration lint",
     )
     determinism.add_argument(
         "--cross-mode", action="store_true",
-        help="also verify serial, sharded, threaded, and process-parallel "
-        "builds (extraction and reasoner workers) agree byte for byte",
+        help="also verify serial and process-parallel builds agree byte "
+        "for byte",
     )
     determinism.add_argument(
         "--fast", action="store_true",
@@ -317,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     determinism.add_argument(
         "--segments", action="store_true",
-        help="also emit segment directories (serial, thread, and process "
-        "builds) and verify they are byte-identical file for file",
+        help="also emit segment directories (serial and process builds) "
+        "and verify they are byte-identical file for file",
     )
     determinism.add_argument(
         "--incremental", action="store_true",
@@ -331,38 +266,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_build(args, out) -> int:
-    if args.shards is not None and args.shards < 1:
-        print("error: --shards must be at least 1", file=out)
-        return 2
     if args.workers < 0:
         print("error: --workers must be non-negative", file=out)
-        return 2
-    if args.reasoner_workers < 0:
-        print("error: --reasoner-workers must be non-negative", file=out)
         return 2
     print(f"Generating world (seed={args.seed}, people={args.people}) ...", file=out)
     world = generate_world(WorldConfig(seed=args.seed, n_people=args.people))
     wiki = build_wiki(world)
     workers_note = (
-        f" with {args.workers} {args.backend} workers"
-        + (" (work-stealing)" if args.schedule == "steal" else "")
-        if args.workers > 1
-        else ""
+        f" with {args.workers} worker processes" if args.workers > 1 else ""
     )
     print(f"Harvesting from {len(wiki.pages)} pages{workers_note} ...", file=out)
     if args.trace:
         obs.reset()
         obs.enable()
-    config = BuildConfig(
-        mapreduce_shards=args.shards,
-        workers=args.workers,
-        backend=args.backend,
-        reasoner_workers=args.reasoner_workers,
-        reasoner_backend=args.reasoner_backend,
-        schedule=args.schedule,
-        corpus_transport=args.corpus_transport,
-        corpus_file=args.corpus_file,
-    )
+    config = BuildConfig(workers=args.workers, corpus_file=args.corpus_file)
     try:
         kb, report = KnowledgeBaseBuilder(
             wiki, aliases=world.aliases, config=config
@@ -411,8 +328,8 @@ def _command_build(args, out) -> int:
 def _command_ingest(args, out) -> int:
     from .pipeline import IncrementalBuilder
 
-    if args.workers < 0 or args.reasoner_workers < 0:
-        print("error: worker counts must be non-negative", file=out)
+    if args.workers < 0:
+        print("error: --workers must be non-negative", file=out)
         return 2
     if args.start < 0:
         print("error: --start must be non-negative", file=out)
@@ -427,13 +344,7 @@ def _command_ingest(args, out) -> int:
     upto = len(titles) if args.upto is None else min(args.upto, len(titles))
     batch = [wiki.pages[title] for title in titles[args.start:upto]]
     retract = [tuple(key) for key in (args.retract or [])]
-    config = BuildConfig(
-        workers=args.workers,
-        backend=args.backend,
-        reasoner_workers=args.reasoner_workers,
-        reasoner_backend=args.reasoner_backend,
-        schedule=args.schedule,
-    )
+    config = BuildConfig(workers=args.workers)
     print(
         f"Ingesting pages [{args.start}, {upto}) of {len(titles)} "
         f"into {args.segments} ...",
@@ -512,7 +423,7 @@ def _command_scenario(args, out) -> int:
             f"({len(bundle.wiki.pages)} pages) ...",
             file=out,
         )
-        config = BuildConfig(workers=args.workers, backend=args.backend)
+        config = BuildConfig(workers=args.workers)
         kb, report = KnowledgeBaseBuilder(
             bundle.wiki, aliases=bundle.world.aliases, config=config
         ).build()
@@ -553,10 +464,7 @@ def _command_scenario(args, out) -> int:
         print(f"error: unknown scenario(s) {unknown} (known: {known})", file=out)
         return 2
     scores = evaluate_matrix(
-        names,
-        workers=args.workers,
-        backend=args.backend,
-        burst_leg=not args.no_burst_leg,
+        names, workers=args.workers, burst_leg=not args.no_burst_leg
     )
     for score in scores:
         print(score.telemetry(), file=out)
@@ -738,13 +646,12 @@ def _command_check_determinism(args, out) -> int:
             return 1
         return status
     print(
-        f"Building {args.runs}x (seed={args.seed}, people={args.people}"
-        + (f", shards={args.shards}" if args.shards else "")
-        + ") under distinct PYTHONHASHSEED values ...",
+        f"Building {args.runs}x (seed={args.seed}, people={args.people}) "
+        "under distinct PYTHONHASHSEED values ...",
         file=out,
     )
     report = check_determinism(
-        runs=args.runs, seed=args.seed, people=args.people, shards=args.shards
+        runs=args.runs, seed=args.seed, people=args.people
     )
     print(report.describe(), file=out)
     if not report.ok:

@@ -12,10 +12,8 @@ differing triple together with the pipeline stage that produced it, so the
 leak can be bisected straight to a subsystem.
 
 The cross-mode check (:func:`check_cross_mode`) extends the same contract
-across *execution strategies*: serial, sharded map-reduce, thread-pool,
-and process-pool builds of the same world — for the extraction stage and
-for the component-decomposed consistency reasoner alike — must also agree
-byte for byte.
+across *execution strategies*: a serial build and a process-pool build of
+the same world must also agree byte for byte.
 Each mode still runs in a fresh subprocess under its own
 ``PYTHONHASHSEED``, so a pass certifies both properties at once.
 """
@@ -133,15 +131,9 @@ def _build_once(
     out_path: str,
     seed: int,
     people: int,
-    shards: Optional[int],
     timeout: float,
     workers: int = 0,
-    backend: Optional[str] = None,
-    reasoner_workers: int = 0,
-    reasoner_backend: Optional[str] = None,
-    schedule: Optional[str] = None,
     segments_dir: Optional[str] = None,
-    corpus_transport: Optional[str] = None,
 ) -> list[str]:
     """Run one ``repro build`` in a fresh subprocess; return canonical lines."""
     from ..kb.rdfio import load
@@ -152,20 +144,8 @@ def _build_once(
     ]
     if segments_dir is not None:
         command += ["--segments", segments_dir]
-    if shards is not None:
-        command += ["--shards", str(shards)]
     if workers:
         command += ["--workers", str(workers)]
-    if backend is not None:
-        command += ["--backend", backend]
-    if reasoner_workers:
-        command += ["--reasoner-workers", str(reasoner_workers)]
-    if reasoner_backend is not None:
-        command += ["--reasoner-backend", reasoner_backend]
-    if schedule is not None:
-        command += ["--schedule", schedule]
-    if corpus_transport is not None:
-        command += ["--corpus-transport", corpus_transport]
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     # The subprocess must resolve the same ``repro`` package as this one.
@@ -189,7 +169,6 @@ def check_determinism(
     runs: int = 3,
     seed: int = 7,
     people: int = 40,
-    shards: Optional[int] = None,
     hash_seeds: Optional[Sequence[int]] = None,
     timeout: float = 600.0,
 ) -> DeterminismReport:
@@ -207,8 +186,6 @@ def check_determinism(
         raise ValueError("hash_seeds must be distinct")
 
     build_args = ["--seed", str(seed), "--people", str(people)]
-    if shards is not None:
-        build_args += ["--shards", str(shards)]
     report = DeterminismReport(
         ok=True, runs=runs, hash_seeds=seeds, build_args=build_args
     )
@@ -216,9 +193,7 @@ def check_determinism(
     with tempfile.TemporaryDirectory(prefix="repro-determinism-") as tmp:
         for index, hash_seed in enumerate(seeds):
             out_path = os.path.join(tmp, f"kb_{hash_seed}.nt")
-            lines = _build_once(
-                hash_seed, out_path, seed, people, shards, timeout
-            )
+            lines = _build_once(hash_seed, out_path, seed, people, timeout)
             if reference is None:
                 reference = lines
                 report.triples = len(lines)
@@ -240,54 +215,15 @@ class BuildMode:
     """One execution strategy of the same logical build."""
 
     label: str
-    shards: Optional[int] = None
     workers: int = 0
-    backend: Optional[str] = None
-    reasoner_workers: int = 0
-    reasoner_backend: Optional[str] = None
-    schedule: Optional[str] = None
-    corpus_transport: Optional[str] = None
 
 
-#: The default mode matrix: every execution strategy the pipeline offers,
-#: including the component-decomposed parallel consistency reasoner, the
-#: work-stealing dispatch schedule (which the steal modes exercise for
-#: extraction and reasoning at once, over one shared worker pool), and the
-#: segment-backed zero-copy corpus transport — workers reading pages from
-#: a shared corpus file must produce the same bytes as workers holding the
-#: whole Wiki in memory, under static and stealing dispatch alike.
+#: The default mode matrix: every execution strategy the pipeline offers —
+#: the in-process build and a process pool whose workers read pages from
+#: the shared corpus file.
 CROSS_MODES: tuple[BuildMode, ...] = (
     BuildMode("serial"),
-    BuildMode("shards4", shards=4),
-    BuildMode("thread2", workers=2, backend="thread"),
-    BuildMode("process2", workers=2, backend="process"),
-    BuildMode("reasoner-thread2", reasoner_workers=2, reasoner_backend="thread"),
-    BuildMode("reasoner-process2", reasoner_workers=2, reasoner_backend="process"),
-    BuildMode(
-        "steal-thread2",
-        workers=2, backend="thread",
-        reasoner_workers=2, reasoner_backend="thread",
-        schedule="steal",
-    ),
-    BuildMode(
-        "steal-process2",
-        workers=2, backend="process",
-        reasoner_workers=2, reasoner_backend="process",
-        schedule="steal",
-    ),
-    BuildMode(
-        "corpus-thread2",
-        workers=2, backend="thread", corpus_transport="file",
-    ),
-    BuildMode(
-        "corpus-process2",
-        workers=2, backend="process", corpus_transport="file",
-    ),
-    BuildMode(
-        "steal-corpus-process2",
-        workers=2, backend="process",
-        schedule="steal", corpus_transport="file",
-    ),
+    BuildMode("process2", workers=2),
 )
 
 
@@ -325,7 +261,7 @@ def check_cross_mode(
 
     Each mode runs in a fresh subprocess under a distinct
     ``PYTHONHASHSEED`` (the mode's index), so this subsumes a 1-run-per-
-    mode hash-seed check on top of the serial/sharded/parallel agreement.
+    mode hash-seed check on top of the serial/parallel agreement.
     """
     if len(modes) < 2:
         raise ValueError("a cross-mode check needs at least 2 modes")
@@ -335,12 +271,7 @@ def check_cross_mode(
         for index, mode in enumerate(modes):
             out_path = os.path.join(tmp, f"kb_{mode.label}.nt")
             lines = _build_once(
-                index, out_path, seed, people, mode.shards, timeout,
-                workers=mode.workers, backend=mode.backend,
-                reasoner_workers=mode.reasoner_workers,
-                reasoner_backend=mode.reasoner_backend,
-                schedule=mode.schedule,
-                corpus_transport=mode.corpus_transport,
+                index, out_path, seed, people, timeout, workers=mode.workers
             )
             if reference is None:
                 reference = lines
@@ -369,9 +300,8 @@ def check_cross_mode_fast(
     directly for every mode, byte-comparing the canonical serializations.
     It cannot vary ``PYTHONHASHSEED`` (that needs fresh processes — use
     :func:`check_cross_mode` for the full certificate), but it exercises
-    the identical execution strategies — thread/process pools, stealing
-    dispatch, segment-backed corpus transport — at a fraction of the
-    wall-clock, which is what CI smoke and tight edit loops want.
+    the identical execution strategies at a fraction of the wall-clock,
+    which is what CI smoke and tight edit loops want.
     """
     from ..corpus import build_wiki
     from ..pipeline import BuildConfig, KnowledgeBaseBuilder
@@ -384,23 +314,7 @@ def check_cross_mode_fast(
     report = CrossModeReport(ok=True, modes=[mode.label for mode in modes])
     reference: Optional[list[str]] = None
     for index, mode in enumerate(modes):
-        config = BuildConfig(
-            mapreduce_shards=mode.shards,
-            workers=mode.workers,
-            backend=mode.backend if mode.backend is not None else "auto",
-            reasoner_workers=mode.reasoner_workers,
-            reasoner_backend=(
-                mode.reasoner_backend
-                if mode.reasoner_backend is not None
-                else "auto"
-            ),
-            schedule=mode.schedule if mode.schedule is not None else "static",
-            corpus_transport=(
-                mode.corpus_transport
-                if mode.corpus_transport is not None
-                else "auto"
-            ),
-        )
+        config = BuildConfig(workers=mode.workers)
         kb, __ = KnowledgeBaseBuilder(
             wiki, aliases=world.aliases, config=config
         ).build()
@@ -420,13 +334,9 @@ def check_cross_mode_fast(
 # --------------------------------------------------- segment file checking
 
 
-#: Segment runs vary worker count *and* backend on top of the hash seed:
-#: the byte-pin promise is "same world, same files, any execution mode".
-SEGMENT_MODES: tuple[BuildMode, ...] = (
-    BuildMode("serial"),
-    BuildMode("thread2", workers=2, backend="thread"),
-    BuildMode("process2", workers=2, backend="process"),
-)
+#: Segment runs vary the execution mode on top of the hash seed: the
+#: byte-pin promise is "same world, same files, any execution mode".
+SEGMENT_MODES: tuple[BuildMode, ...] = CROSS_MODES
 
 
 @dataclass(slots=True)
@@ -438,7 +348,7 @@ class SegmentDeterminismReport:
     compares the emitted segment **files byte for byte** — manifest,
     order files, and bloom sidecars — so it certifies the stronger
     property the byte-pinned format promises: two builds of the same
-    world are the same files, at any worker count or backend.
+    world are the same files, in any execution mode.
     """
 
     ok: bool
@@ -487,11 +397,8 @@ def check_segment_determinism(
             segments_dir = os.path.join(tmp, f"segments_{mode.label}")
             out_path = os.path.join(tmp, f"kb_{mode.label}.nt")
             lines = _build_once(
-                index, out_path, seed, people, mode.shards, timeout,
-                workers=mode.workers, backend=mode.backend,
-                reasoner_workers=mode.reasoner_workers,
-                reasoner_backend=mode.reasoner_backend,
-                schedule=mode.schedule, segments_dir=segments_dir,
+                index, out_path, seed, people, timeout,
+                workers=mode.workers, segments_dir=segments_dir,
             )
             if reference_dir is None:
                 reference_dir = segments_dir
@@ -531,7 +438,7 @@ class IncrementalDeterminismReport:
     canonical KB serializations byte-compared.  The mode directories are
     then diffed against the first mode's, so a pass certifies
     ``incremental(full ∪ delta) == full_rebuild(full ∪ delta)`` across
-    serial/threaded/process execution under distinct ``PYTHONHASHSEED``.
+    serial and process execution under distinct ``PYTHONHASHSEED``.
     """
 
     ok: bool
@@ -586,14 +493,6 @@ def _ingest_once(
         command += ["--compact"]
     if mode.workers:
         command += ["--workers", str(mode.workers)]
-    if mode.backend is not None:
-        command += ["--backend", mode.backend]
-    if mode.reasoner_workers:
-        command += ["--reasoner-workers", str(mode.reasoner_workers)]
-    if mode.reasoner_backend is not None:
-        command += ["--reasoner-backend", mode.reasoner_backend]
-    if mode.schedule is not None:
-        command += ["--schedule", mode.schedule]
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))

@@ -165,14 +165,11 @@ def _burst_leg(
 def evaluate_scenario(
     name: str,
     workers: int = 0,
-    backend: str = "auto",
     burst_leg: bool = True,
 ) -> ScenarioScore:
     """Build one scenario through the real pipeline and score it."""
     bundle = build_scenario(name)
-    config = BuildConfig(
-        workers=workers, backend=backend, keep_merged_store=True
-    )
+    config = BuildConfig(workers=workers, keep_merged_store=True)
     builder = KnowledgeBaseBuilder(
         bundle.wiki, aliases=bundle.world.aliases, config=config
     )
@@ -195,22 +192,19 @@ def evaluate_scenario(
     if burst_leg and bundle.spec.incremental_burst:
         # The delta leg replays the same logical build, so it must use a
         # config whose pinned (byte-affecting) fields match the one-shot's.
-        _burst_leg(score, bundle, kb, BuildConfig(workers=workers, backend=backend))
+        _burst_leg(score, bundle, kb, BuildConfig(workers=workers))
     return score
 
 
 def evaluate_matrix(
     names: Optional[Sequence[str]] = None,
     workers: int = 0,
-    backend: str = "auto",
     burst_leg: bool = True,
 ) -> list[ScenarioScore]:
     """Score every (or the named) scenario profile, in registry order."""
     selected = list(names) if names is not None else list(SCENARIOS)
     return [
-        evaluate_scenario(
-            name, workers=workers, backend=backend, burst_leg=burst_leg
-        )
+        evaluate_scenario(name, workers=workers, burst_leg=burst_leg)
         for name in selected
     ]
 

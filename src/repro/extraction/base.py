@@ -50,8 +50,9 @@ def merge_candidates(candidates: Iterable[Candidate]) -> dict[tuple, float]:
 
     The per-key confidences are folded in sorted order, so every permutation
     of the same candidate multiset yields bit-identical floats — float
-    multiplication is commutative but not associative, and serial, sharded,
-    and worker-pool extraction deliver candidates in different orders.
+    multiplication is commutative but not associative, and callers (an
+    incremental build's cached candidates, a map-reduce job) may deliver
+    candidates in different orders.
     """
     grouped: dict[tuple, list[float]] = {}
     for candidate in candidates:
@@ -87,8 +88,8 @@ def candidates_to_store(
     are elected deterministically and order-independently — the
     highest-confidence witness wins, ties broken by (extractor, evidence)
     lexicographically — and triples are added in canonical key order, so
-    serial, sharded, and worker-pool builds produce byte-identical stores
-    regardless of candidate arrival order.
+    every build produces byte-identical stores regardless of candidate
+    arrival order.
     """
     from ..determinism.stable import stable_str_key
 

@@ -15,22 +15,16 @@ ablation:
 
 Solving is component-decomposed (:mod:`repro.reasoning.decompose`): the
 clause graph shatters along the constraint locality into many small
-independent components, which ``workers``/``backend`` fan out over the
-execution backends — the cleaned KB is byte-identical for every worker
-count because component seeds and the merge order derive from component
-content only.  The reasoner resolves its backend once at construction, so
-repeated ``clean()`` calls reuse one persistent worker pool (release it
-with :meth:`ConsistencyReasoner.close` or the context manager), and
-``schedule="steal"`` dispatches the heaviest component batches first.
+independent components, solved in-process — exactly when small, by WalkSAT
+otherwise — with component seeds and the merge order derived from
+component content only.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
 
-from ..bigdata.backends import ExecutionBackend, get_backend
 from ..kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from ..obs import core as _obs
 from ..reasoning.decompose import ComponentCache, decompose, solve_decomposed
@@ -71,9 +65,6 @@ class ConsistencyReasoner:
         use_types: bool = True,
         use_disjointness: bool = True,
         min_confidence_weight: float = 0.05,
-        workers: int = 0,
-        backend: Union[str, ExecutionBackend, None] = "auto",
-        schedule: str = "static",
         component_cache: "ComponentCache | None" = None,
     ) -> None:
         self.taxonomy = taxonomy
@@ -81,31 +72,11 @@ class ConsistencyReasoner:
         self.use_types = use_types
         self.use_disjointness = use_disjointness
         self.min_confidence_weight = min_confidence_weight
-        self.workers = workers
-        self.schedule = schedule
         # Optional content-addressed solve cache: identical components
         # replay their stored outcome instead of searching again, which is
         # what lets an incremental build re-solve only the components its
         # delta touched.  Results are byte-identical either way.
         self.component_cache = component_cache
-        # Resolve the backend once: every clean() call of this reasoner
-        # reuses the same (lazily created, persistent) worker pool instead
-        # of spinning one up per call.  A caller-supplied instance stays
-        # caller-owned; a string spec is owned — and closed — by us.
-        self.backend = get_backend(backend, workers)
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-
-    def close(self) -> None:
-        """Release the reasoner's worker pool (if it owns one)."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "ConsistencyReasoner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     def ground(
         self, candidates: TripleStore
@@ -161,9 +132,6 @@ class ConsistencyReasoner:
                     problem,
                     seed=seed,
                     decomposition=decomposition,
-                    backend=self.backend,
-                    workers=self.workers,
-                    schedule=self.schedule,
                     cache=self.component_cache,
                 )
                 if self.component_cache is not None:

@@ -13,8 +13,8 @@ The format is **byte-pinned**: every integer is little-endian and
 fixed-width, records are canonical rdfio term texts, and record order is
 the lexicographic order of the record bytes themselves — no hash order,
 no timestamps, no randomness anywhere.  Two builds of the same world
-therefore produce byte-identical segment directories at any worker count
-or backend, which is what lets ``repro check-determinism`` diff KBs as
+therefore produce byte-identical segment directories at any worker count,
+which is what lets ``repro check-determinism`` diff KBs as
 files and what makes the golden tiny-world fixture in ``tests/`` stable.
 
 Layout of one order file (``seg-NNNNNN.spo`` / ``.pos`` / ``.osp``)::

@@ -3,12 +3,11 @@
 Everything lives at module level so hot call sites can gate on a single
 attribute load (``core.ENABLED``) — when the flag is False no span, dict,
 or float is ever allocated.  State is process-local and *per-thread*: each
-thread records spans and metrics into its own registry, so worker threads
-of the parallel execution backends never race on a shared span stack.
-Worker telemetry — from pool threads and pool processes alike — is folded
-back into the parent explicitly via :func:`snapshot` (captured in-worker)
-and :func:`merge_snapshot` (applied in the parent), which is how
-``build --trace`` keeps a per-worker breakdown.
+thread records spans and metrics into its own registry, so server handler
+threads never race on a shared span stack.  Worker telemetry from pool
+processes is folded back into the parent explicitly via :func:`snapshot`
+(captured in-worker) and :func:`merge_snapshot` (applied in the parent),
+which is how ``build --trace`` keeps a per-worker breakdown.
 
 The span stack is explicit: ``span()`` pushes on ``__enter__`` and pops on
 ``__exit__``, attaching each finished span to its parent (or to the

@@ -4,19 +4,13 @@ This is "a YAGO built from the synthetic Wikipedia": category integration
 supplies the class taxonomy, infobox and sentence extractors supply the
 facts, temporal tagging supplies scopes, interlanguage links supply
 multilingual labels, and MaxSat consistency reasoning cleans the result.
-The same extraction work can run through the in-process map-reduce engine
-(one page per input record), which is how the scaling experiment E11
-measures per-shard work and shuffle volume.  Per-page extraction can also
-fan out across an execution backend (``BuildConfig.workers`` /
-``BuildConfig.backend``): worker threads or worker processes each build
-the name resolver and gazetteer once in their initializer, extract page
-batches, and ship their telemetry back to the parent, and because batch
-results are concatenated in input order the resulting KB is byte-identical
-to a serial build.  Consistency reasoning parallelizes the same way
-(``BuildConfig.reasoner_workers`` / ``reasoner_backend``): the MaxSat
-instance decomposes into connected components that fan out over the same
-backends, with content-derived component seeds keeping the cleaned KB
-byte-identical at every worker count.
+Per-page extraction is a map job: with ``BuildConfig.workers > 1`` it fans
+out over a process pool.  The parent writes the corpus once as a mmap-able
+corpus file; each worker opens it by path, builds the name resolver and
+gazetteer once in its initializer, extracts page batches, and ships its
+telemetry back to the parent.  Batch results concatenate in input order,
+so the resulting KB is byte-identical to a serial build.  Every later stage
+runs in the parent.
 """
 
 from __future__ import annotations
@@ -31,13 +25,6 @@ from ..kb import Entity, Taxonomy, Triple, TripleStore, ns
 from ..corpus.corpusfile import CorpusReader, open_corpus, write_corpus
 from ..corpus.wiki import Wiki, WikiPage
 from ..bigdata.backends import ExecutionBackend, chunked, get_backend
-from ..bigdata.costs import (
-    CostModel,
-    batch_key,
-    make_batch_estimator,
-    split_dominant,
-)
-from ..bigdata.mapreduce import JobStats, MapReduce
 from ..extraction.base import Candidate, candidates_to_store
 from ..extraction.consistency import ConsistencyReasoner, ConsistencyReport
 from ..extraction.infobox import InfoboxExtractor
@@ -63,16 +50,9 @@ class BuildConfig:
     use_consistency: bool = True
     use_multilingual: bool = True
     min_confidence: float = 0.5
-    mapreduce_shards: Optional[int] = None  # None = direct extraction
+    # Execution policy — never byte-affecting: workers > 1 extracts pages
+    # in a process pool that reads the corpus file.
     workers: int = 0                        # <= 1 = in-process execution
-    backend: str = "auto"                   # serial | thread | process | auto
-    reasoner_workers: int = 0               # <= 1 = in-process MaxSat solving
-    reasoner_backend: str = "auto"          # backend for consistency reasoning
-    schedule: str = "static"                # static | steal (worker dispatch)
-    # Zero-copy corpus transport (execution policy — never byte-affecting):
-    # "auto" ships process workers a corpus-file path instead of a pickled
-    # Wiki; "file"/"memory" force the choice for any multi-worker backend.
-    corpus_transport: str = "auto"          # auto | memory | file
     corpus_file: Optional[str] = None       # write/reuse the corpus file here
     # Keep a copy of the merged pre-consistency fact store on the report
     # (``BuildReport.merged_store``) so quality harnesses can score the
@@ -95,10 +75,8 @@ class BuildReport:
     accepted_facts: int = 0
     label_triples: int = 0
     consistency: Optional[ConsistencyReport] = None
-    mapreduce: Optional[JobStats] = None
     backend: str = "serial"
     workers: int = 1
-    schedule: str = "static"
     #: The merged pre-consistency fact store (only when
     #: ``BuildConfig.keep_merged_store`` is set).
     merged_store: Optional[TripleStore] = None
@@ -185,19 +163,9 @@ class PageExtractor:
         return candidates
 
 
-# Worker-side extraction context.  ``threading.local`` covers every backend
-# uniformly: pool threads each see their own slot, and a pool process's
-# main thread sees a fresh one after fork/spawn.
+# Worker-side extraction context, installed in each pool process by
+# :func:`_extraction_worker_init_corpus`.
 _WORKER = threading.local()
-
-
-def _extraction_worker_init(
-    wiki: Wiki, aliases: Optional[dict[Entity, list[str]]], config: BuildConfig
-) -> None:
-    """Build one worker's resolver/gazetteer/extractors (runs once per
-    worker, before any page batch)."""
-    _WORKER.load_page = wiki.pages.__getitem__
-    _WORKER.extractor = PageExtractor(_build_resolver(wiki, aliases), config)
 
 
 def _corpus_resolver(reader: CorpusReader) -> NameResolver:
@@ -218,12 +186,13 @@ def _corpus_resolver(reader: CorpusReader) -> NameResolver:
 
 
 def _extraction_worker_init_corpus(corpus_path: str, config: BuildConfig) -> None:
-    """The zero-copy variant of :func:`_extraction_worker_init`.
+    """Build one worker's resolver/gazetteer/extractors (runs once per
+    worker, before any page batch).
 
-    The worker receives a *path* instead of a pickled wiki, mmaps the
-    shared read-only corpus file (process-cached across map calls), and
-    loads pages by title on demand — the OS page cache shares the bytes
-    between every worker on the host.
+    The worker receives a *path*, not a pickled wiki: it mmaps the shared
+    read-only corpus file (process-cached across map calls) and loads
+    pages by title on demand — the OS page cache shares the bytes between
+    every worker on the host.
     """
     reader = open_corpus(corpus_path)
     _WORKER.load_page = reader.page
@@ -240,20 +209,6 @@ def _extract_batch(titles: list[str]) -> list[Candidate]:
     return candidates
 
 
-def _mapreduce_map_page(title: str) -> list[tuple[str, Candidate]]:
-    """Map one page title to keyed candidates (runs inside a worker)."""
-    extractor: PageExtractor = _WORKER.extractor
-    return [
-        (repr(candidate.key()), candidate)
-        for candidate in extractor.extract(_WORKER.load_page(title))
-    ]
-
-
-def _identity_reduce(key: str, values: list[Candidate]):
-    """Pass candidates through; the real merge happens downstream."""
-    yield from values
-
-
 class KnowledgeBaseBuilder:
     """Build a KB from an encyclopedia."""
 
@@ -263,7 +218,6 @@ class KnowledgeBaseBuilder:
         aliases: Optional[dict[Entity, list[str]]] = None,
         config: Optional[BuildConfig] = None,
         component_cache=None,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         self.wiki = wiki
         self.aliases = aliases
@@ -274,16 +228,9 @@ class KnowledgeBaseBuilder:
         # component-scoped re-reasoning).  Stays in the parent process —
         # never shipped to extraction workers.
         self.component_cache = component_cache
-        # Measured-cost model for steal scheduling: per-batch wall seconds
-        # recorded by the backends replace the static sentence-count proxy
-        # on later map calls (and feed adaptive batch splitting).  Shared
-        # across builds when the caller passes one in (the incremental
-        # builder does); execution policy only — never byte-affecting.
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.resolver = _build_resolver(wiki, aliases)
         self._extractor = PageExtractor(self.resolver, self.config)
         self._gazetteer = self._extractor.gazetteer
-        self._sentence_counts: Optional[dict[str, int]] = None
         self._corpus_path: Optional[str] = None
 
     # -------------------------------------------------------------- stages
@@ -308,32 +255,16 @@ class KnowledgeBaseBuilder:
             len(p.document.sentences) for p in self.wiki.pages.values()
         )
 
-        # Resolve the execution backends once per build: a pooled backend
-        # keeps its workers alive across the extraction stage, map-reduce
-        # map phases, and consistency reasoning (one pool spinup per
-        # build, not one per stage), shared between the two stages when
-        # their specs coincide, and closed when the build finishes.
-        backend = get_backend(self.config.backend, self.config.workers)
-        reasoner_backend = get_backend(
-            self.config.reasoner_backend, self.config.reasoner_workers
-        )
-        if (reasoner_backend.name, reasoner_backend.workers) == (
-            backend.name,
-            backend.workers,
-        ):
-            reasoner_backend = backend
+        # Resolve the extraction backend once per build; a process pool is
+        # closed when the build finishes.
+        backend = get_backend(self.config.workers)
         report.backend = backend.name
         report.workers = backend.workers
-        report.schedule = self.config.schedule
         corpus_tmp = self._prepare_corpus(backend, skip=candidates is not None)
         try:
-            return self._build_with(
-                backend, reasoner_backend, report, candidates
-            )
+            return self._build_with(backend, report, candidates)
         finally:
             backend.close()
-            if reasoner_backend is not backend:
-                reasoner_backend.close()
             self._corpus_path = None
             if corpus_tmp is not None:
                 import shutil
@@ -346,21 +277,11 @@ class KnowledgeBaseBuilder:
         """Write (or reuse) the corpus file this build's workers will mmap.
 
         Returns the temp directory to clean up afterwards, if one was
-        created.  No file is produced when the transport resolves to
-        in-memory — serial builds, thread builds under "auto", injected
-        candidates (``skip``) — unless the caller pinned ``corpus_file``,
+        created.  No file is produced for serial builds or injected
+        candidates (``skip``) unless the caller pinned ``corpus_file``,
         which always materializes the artifact for reuse.
         """
-        transport = self.config.corpus_transport
-        if transport not in ("auto", "memory", "file"):
-            raise ValueError(
-                f"unknown corpus transport {transport!r} "
-                "(expected auto, memory, or file)"
-            )
-        wants_file = transport == "file" or (
-            transport == "auto" and backend.name == "process"
-        )
-        uses_file = wants_file and backend.workers > 1 and not skip
+        uses_file = backend.workers > 1 and not skip
         if not uses_file and self.config.corpus_file is None:
             return None
         tmp_dir: Optional[str] = None
@@ -404,7 +325,6 @@ class KnowledgeBaseBuilder:
     def _build_with(
         self,
         backend: ExecutionBackend,
-        reasoner_backend: ExecutionBackend,
         report: BuildReport,
         candidates: Optional[list[Candidate]] = None,
     ) -> tuple[TripleStore, BuildReport]:
@@ -422,16 +342,10 @@ class KnowledgeBaseBuilder:
                 tracing.add("type_triples", report.type_triples)
                 kb.merge(type_store)
 
-            # 2. Facts: per-page extraction — direct or through map-reduce,
-            #    either way fanned out across the configured backend.
+            # 2. Facts: per-page extraction, in-process or over the pool.
             with _obs.span("pipeline.extract") as tracing:
                 tracing.add("workers", backend.workers)
-                if candidates is not None:
-                    pass  # injected by an incremental build
-                elif self.config.mapreduce_shards:
-                    candidates, stats = self._extract_mapreduce(backend)
-                    report.mapreduce = stats
-                else:
+                if candidates is None:
                     candidates = self._extract_pages(backend)
                 for candidate in candidates:
                     if candidate.extractor == "infobox":
@@ -474,11 +388,7 @@ class KnowledgeBaseBuilder:
                 with _obs.span("pipeline.consistency") as tracing:
                     taxonomy = Taxonomy(_taxonomy_view(kb, self.wiki))
                     reasoner = ConsistencyReasoner(
-                        taxonomy,
-                        workers=self.config.reasoner_workers,
-                        backend=reasoner_backend,
-                        schedule=self.config.schedule,
-                        component_cache=self.component_cache,
+                        taxonomy, component_cache=self.component_cache
                     )
                     fact_store, report.consistency = reasoner.clean(fact_store)
                     tracing.add("accepted", report.consistency.accepted)
@@ -500,46 +410,12 @@ class KnowledgeBaseBuilder:
             building.add("triples", len(kb))
         return kb, report
 
-    def _batch_cost(self, titles: list[str]) -> int:
-        """Estimated extraction cost of one page batch: sentence count.
-
-        The work-stealing schedule dispatches the heaviest batch first so
-        a batch of long pages doesn't serialize behind a worker's lighter
-        ones.  Per-page sentence counts are computed once per build and
-        cached — a dispatch used to re-walk every page's sentence list per
-        batch per ``map`` call.  Runs in the parent only — never shipped
-        to workers.
-        """
-        if self._sentence_counts is None:
-            self._sentence_counts = {
-                title: len(page.document.sentences)
-                for title, page in self.wiki.pages.items()
-            }
-        counts = self._sentence_counts
-        return sum(counts[title] for title in titles)
-
-    def _worker_setup(self, backend: ExecutionBackend) -> tuple:
-        """The (initializer, initargs) pair for this build's transport.
-
-        Corpus-file transport ships workers a path; in-memory transport
-        ships the wiki itself (free for threads, a full pickle for
-        processes — the cost E21 measures).
-        """
-        if self._corpus_path is not None:
-            return _extraction_worker_init_corpus, (
-                self._corpus_path,
-                self.config,
-            )
-        return _extraction_worker_init, (self.wiki, self.aliases, self.config)
-
     def _extract_pages(self, backend: ExecutionBackend) -> list[Candidate]:
         """Per-page extraction over the backend, in page-title order.
 
         Batches are contiguous title ranges and results concatenate in
-        batch order, so every backend — and every dispatch schedule —
-        yields the same candidate list.  Adaptive splitting halves a
-        batch whose estimated cost dominates the rest (contiguously, in
-        place), which tightens the makespan without touching that order.
+        batch order, so the pool yields the same candidate list as the
+        in-process loop.
         """
         titles = sorted(self.wiki.pages)
         if backend.workers <= 1:
@@ -547,45 +423,13 @@ class KnowledgeBaseBuilder:
             for title in titles:
                 candidates.extend(self._page_candidates(self.wiki.pages[title]))
             return candidates
-        chunks = chunked(titles, backend.workers * 4)
-        chunks = split_dominant(
-            chunks,
-            make_batch_estimator(
-                self.cost_model, chunks, static_cost=self._batch_cost
-            ),
-        )
-        initializer, initargs = self._worker_setup(backend)
         batches = backend.map(
             _extract_batch,
-            chunks,
-            initializer=initializer,
-            initargs=initargs,
-            schedule=self.config.schedule,
-            cost_key=self._batch_cost,
-            cost_model=self.cost_model,
-            task_key=batch_key,
+            chunked(titles, backend.workers * 4),
+            initializer=_extraction_worker_init_corpus,
+            initargs=(self._corpus_path, self.config),
         )
         return [candidate for batch in batches for candidate in batch]
-
-    def _extract_mapreduce(
-        self, backend: ExecutionBackend
-    ) -> tuple[list[Candidate], JobStats]:
-        """Run per-page extraction as a map-reduce job."""
-        engine: MapReduce = MapReduce(
-            shards=self.config.mapreduce_shards,
-            backend=backend,
-            schedule=self.config.schedule,
-            cost_model=self.cost_model,
-        )
-        initializer, initargs = self._worker_setup(backend)
-        candidates, stats = engine.run(
-            sorted(self.wiki.pages),
-            _mapreduce_map_page,
-            _identity_reduce,
-            initializer=initializer,
-            initargs=initargs,
-        )
-        return candidates, stats
 
 
 def _taxonomy_view(kb: TripleStore, wiki: Wiki) -> TripleStore:

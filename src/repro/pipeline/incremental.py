@@ -63,7 +63,6 @@ from ..kb.segments import (
 )
 from ..kb.store import EMPTY_EPOCH, epoch_hex
 from ..nlp.tokenizer import tokenize
-from ..bigdata.costs import CostModel
 from ..obs import core as _obs
 from ..reasoning.decompose import ComponentCache
 from .builder import (
@@ -85,8 +84,8 @@ STATE_VERSION = 1
 #: BuildConfig fields that change the *bytes* of the output KB.  They are
 #: pinned in the state file: mixing configs across ingests would silently
 #: break the incremental == full-rebuild invariant, so it is an error.
-#: Execution knobs (workers/backend/schedule/shards) are byte-neutral by
-#: the determinism contract and may vary freely between ingests.
+#: Execution knobs (workers, corpus_file) are byte-neutral by the
+#: determinism contract and may vary freely between ingests.
 _PINNED_CONFIG = (
     "use_infobox",
     "use_patterns",
@@ -236,11 +235,6 @@ class IncrementalBuilder:
         self.config = config if config is not None else BuildConfig()
         self.store = SegmentStore(directory, compact_threshold=compact_threshold)
         self.state = self._load_state()
-        # One cost model across every ingest this builder performs: batch
-        # costs measured while rebuilding ingest N drive the stealing
-        # dispatch of ingest N+1 (purely a scheduling input — the
-        # determinism contract keeps the bytes identical either way).
-        self.cost_model = CostModel()
 
     # --------------------------------------------------------------- state
 
@@ -459,7 +453,6 @@ class IncrementalBuilder:
                 aliases=alias_map,
                 config=self.config,
                 component_cache=cache,
-                cost_model=self.cost_model,
             )
             kb, report.build = builder.build(candidates=candidates)
             if report.build.consistency is not None:

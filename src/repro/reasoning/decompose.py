@@ -1,12 +1,12 @@
-"""Component decomposition for weighted MaxSat (parallel consistency).
+"""Component decomposition for weighted MaxSat (consistency reasoning).
 
 The consistency constraints the reasoner grounds are *local*: functionality
 couples facts sharing a ``(subject, relation)``, disjointness couples facts
 sharing a ``(subject, object)``, and type clauses are unit.  The resulting
 variable-clause graph therefore shatters into many small connected
 components, and the global optimum is exactly the union of per-component
-optima — so the components can be solved independently, in parallel, with
-no loss of quality.
+optima — so the components can be solved independently, with no loss of
+quality.
 
 This module finds the components (union-find over variables co-occurring
 in a clause) and solves them:
@@ -19,16 +19,15 @@ in a clause) and solves them:
   variables is solved optimally by branch and bound
   (:meth:`~.maxsat.WeightedMaxSat.solve_exact`); a larger one goes to
   WalkSAT with a seed derived via :func:`repro.determinism.stable_hash` of
-  the component's canonical key — *not* of its position in any worker's
-  batch — and a flip budget scaled to the component size;
-* component batches fan out over a :mod:`repro.bigdata.backends` executor
-  (serial, thread, or process), and the per-component ``(hard, soft)``
-  costs and assignments merge in sorted-canonical-key order.
+  the component's canonical key — *not* of its position in any batch — and
+  a flip budget scaled to the component size;
+* the per-component ``(hard, soft)`` costs and assignments merge in
+  sorted-canonical-key order.
 
 Because the route, seed and budget of a component depend only on its
 content, and the merge order depends only on the canonical keys, the result
-is byte-identical no matter which backend ran the components or how many
-workers it used.  Among equally good assignments of an exact-routed
+does not depend on which components a :class:`ComponentCache` replayed and
+which were solved afresh.  Among equally good assignments of an exact-routed
 component, branch and bound keeps the first in its documented search order
 (variables by clause involvement, then ``repr``; True before False) — so on
 an equal-weight functional tie the ``repr``-first candidate wins.
@@ -37,9 +36,8 @@ an equal-weight functional tie the ``repr``-first candidate wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
-from ..bigdata.backends import ExecutionBackend, chunked, get_backend
 from ..determinism.stable import stable_hash, stable_str_key
 from ..obs import core as _obs
 from .maxsat import MaxSatResult, WeightedMaxSat
@@ -77,8 +75,8 @@ class Component:
     def seed(self, base_seed: int) -> int:
         """The component's solver seed: a stable hash of (base seed, key).
 
-        Depends only on the component's content, never on scheduling, so
-        every worker count replays the identical search trajectory.
+        Depends only on the component's content, never on its position,
+        so every solve replays the identical search trajectory.
         """
         return stable_hash((base_seed, self.key))
 
@@ -255,27 +253,17 @@ class ComponentCache:
         }
 
 
-#: One component's picklable work order: (canonical key, clause payloads,
+#: One component's work order: (canonical key, clause payloads,
 #: _EXACT_ROUTE) for an exact-routed component, else (canonical key, clause
 #: payloads, seed, max_flips, restarts, noise).
 _ComponentTask = tuple
 
-#: One component's picklable outcome: (key, assignment, soft, hard, flips).
+#: One component's outcome: (key, assignment, soft, hard, flips).
 _ComponentOutcome = tuple
 
 
-def _batch_clause_cost(batch: list[_ComponentTask]) -> int:
-    """Estimated cost of one component batch: its total clause count.
-
-    The work-stealing schedule dispatches the heaviest batch first, so
-    the one lopsided component (one huge functionality group) starts
-    immediately instead of serializing behind a worker's lighter batches.
-    """
-    return sum(len(clause_payload) for __, clause_payload, *___ in batch)
-
-
 def _solve_component_batch(batch: list[_ComponentTask]) -> list[_ComponentOutcome]:
-    """Solve one batch of components (runs inside a backend worker)."""
+    """Solve one batch of components, in order."""
     outcomes: list[_ComponentOutcome] = []
     with _obs.span("maxsat.component_batch") as tracing:
         clause_total = 0
@@ -317,22 +305,16 @@ def solve_decomposed(
     restarts: int = 3,
     noise: float = 0.1,
     decomposition: Optional[Decomposition] = None,
-    backend: Union[str, ExecutionBackend, None] = "auto",
-    workers: int = 0,
-    schedule: str = "static",
     cache: Optional[ComponentCache] = None,
 ) -> MaxSatResult:
-    """Solve ``problem`` component by component; optionally in parallel.
+    """Solve ``problem`` component by component, in-process.
 
     Semantically equivalent to :meth:`WeightedMaxSat.solve` — the optimum
-    of a disconnected instance is the union of component optima — and
-    byte-identical across worker counts, backends, and schedules:
-    component routes, seeds and flip budgets derive from component content,
+    of a disconnected instance is the union of component optima.
+    Component routes, seeds and flip budgets derive from component content,
     and costs/assignments merge in sorted-canonical-key order.  Components
     of at most :data:`EXACT_MAX_VARIABLES` variables are solved optimally
-    by branch and bound; the WalkSAT parameters apply to the rest.  Passing a
-    resolved :class:`ExecutionBackend` reuses its (persistent) pool; a
-    string spec resolves — and closes — a backend per call.
+    by branch and bound; the WalkSAT parameters apply to the rest.
 
     With a :class:`ComponentCache`, components whose content-derived work
     order is already cached replay their stored outcome instead of
@@ -373,7 +355,7 @@ def solve_decomposed(
             ))
 
     # Split off cache replays: the cached positions are satisfied from the
-    # stored outcomes, only the remainder goes to the solver fleet.
+    # stored outcomes, only the remainder goes to the solver.
     outcome_at: dict[int, _ComponentOutcome] = {}
     pending: list[tuple[int, _ComponentTask]] = []
     if cache is not None:
@@ -390,23 +372,7 @@ def solve_decomposed(
         pending = list(enumerate(tasks))
 
     pending_tasks = [task for __, task in pending]
-    executor = get_backend(backend, workers)
-    owns_executor = not isinstance(backend, ExecutionBackend)
-    try:
-        if executor.workers <= 1 or len(pending_tasks) <= 1:
-            batches = [_solve_component_batch(pending_tasks)] if pending_tasks else []
-        else:
-            batches = executor.map(
-                _solve_component_batch,
-                chunked(pending_tasks, executor.workers * 4),
-                schedule=schedule,
-                cost_key=_batch_clause_cost,
-            )
-    finally:
-        if owns_executor:
-            executor.close()
-
-    solved = [outcome for batch in batches for outcome in batch]
+    solved = _solve_component_batch(pending_tasks) if pending_tasks else []
     for (position, task), outcome in zip(pending, solved):
         outcome_at[position] = outcome
         if cache is not None:
@@ -419,7 +385,7 @@ def solve_decomposed(
     # Outcomes merge in sorted-component-key order (the order the tasks
     # were built in), whether they were freshly solved or replayed from
     # the cache, so this float accumulation order is canonical for every
-    # backend and every cache state.
+    # cache state.
     for position in range(len(components)):
         __, component_assignment, soft, hard, component_flips = outcome_at[position]
         assignment.update(component_assignment)

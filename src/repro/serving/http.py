@@ -3,10 +3,9 @@
 A :class:`KBServer` is an ``http.server.HTTPServer`` whose accepted
 connections are handed to a **fixed pool** of handler threads through a
 queue — not thread-per-request, so the thread count is an explicit,
-testable contract (:func:`resolve_server_workers`, mirroring
-``get_backend``: negative raises, 0 means the default, an explicit N >= 1
-is honored exactly, including ``--workers 1`` = exactly one handler
-thread).  Shutdown is graceful and complete: :meth:`KBServer.stop` stops
+testable contract (:func:`resolve_server_workers`: negative raises, 0
+means the default, an explicit N >= 1 is honored exactly, including
+``--workers 1`` = exactly one handler thread).  Shutdown is graceful and complete: :meth:`KBServer.stop` stops
 the acceptor, drains the pool with sentinels, joins every thread, and
 closes the socket — no dangling threads.
 
@@ -50,8 +49,7 @@ _ENDPOINTS = {"/lookup": "GET", "/query": "POST", "/topk": "GET",
 def resolve_server_workers(workers: int) -> int:
     """Resolve the ``serve --workers`` spec to a thread count.
 
-    The same contract as ``get_backend``: a negative count raises, ``0``
-    means the server default (:data:`DEFAULT_SERVER_WORKERS`), and an
+    A negative count raises, ``0`` means the server default (:data:`DEFAULT_SERVER_WORKERS`), and an
     explicit ``N >= 1`` is honored exactly — ``workers=1`` really serves
     with one handler thread.
     """

@@ -28,6 +28,7 @@ from . import schema as ws
 from .names import (
     LANGUAGES,
     PRODUCT_FAMILIES,
+    UNIVERSITY_PATTERNS,
     NamePool,
     identifier_from_name,
     person_aliases,
@@ -80,6 +81,11 @@ class WorldConfig:
             # Each family needs a distinct maker; a short company list would
             # otherwise silently truncate the family zip in _generate_products.
             raise ValueError("need at least one company per product family")
+        if self.n_universities > len(UNIVERSITY_PATTERNS) * self.n_cities:
+            # Each city can anchor one university per name pattern.
+            raise ValueError(
+                f"at most {len(UNIVERSITY_PATTERNS)} universities per city"
+            )
 
 
 @dataclass
@@ -269,6 +275,10 @@ def _generate_geography(world, config, rng, pool) -> None:
 def _generate_organizations(world, config, rng, pool) -> None:
     for __ in range(config.n_universities):
         city = rng.choice(world.cities)
+        # Redraw only a city whose every university pattern is taken, so
+        # worlds that never hit that case keep their random draws.
+        while not pool.has_university_name(world.name[city]):
+            city = rng.choice(world.cities)
         name = pool.university_name(world.name[city])
         university = _register(world, name, ws.UNIVERSITY)
         world.universities.append(university)

@@ -275,6 +275,13 @@ class NamePool:
 
         return self._unique(make, self._used)
 
+    def has_university_name(self, city: str) -> bool:
+        """Whether some university pattern for ``city`` is still unused."""
+        return any(
+            pattern.format(city=city) not in self._used
+            for pattern in UNIVERSITY_PATTERNS
+        )
+
     def prize_name(self) -> str:
         """A unique prize name."""
         return self._unique(lambda: self._rng.choice(PRIZE_NAMES), self._used)

@@ -26,7 +26,7 @@ Shipped profiles (:data:`SCENARIOS`):
   multilingual label harvesting.
 
 Every bundle is a pure function of its spec: same profile, same bytes — in
-any process, under any execution backend (the pipeline's cross-mode
+any process, in any execution mode (the pipeline's cross-mode
 contract extends to scenario builds; ``tests/test_scenarios.py`` holds the
 byte-identity matrix).
 """

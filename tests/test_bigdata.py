@@ -152,21 +152,37 @@ def _boom_initializer():
     raise AssertionError("initializer must not run for an empty task list")
 
 
-def _append_marker(bucket, marker):
-    bucket.append(marker)
+_MARKER = None
+
+
+def _set_marker(marker):
+    global _MARKER
+    _MARKER = marker
+
+
+def _read_marker(__):
+    return _MARKER
+
+
+def _sleepy(seconds):
+    """A traced task long enough that an idle worker always picks up the
+    next one."""
+    import time
+
+    from repro import obs
+
+    with obs.span("test.sleep"):
+        time.sleep(seconds)
+    return seconds
 
 
 class TestExecutionBackends:
     DOCS = ["a b a c", "b c d", "d d a", "e", "a b c d e f"]
 
     def _backends(self):
-        from repro.bigdata.backends import (
-            ProcessBackend,
-            SerialBackend,
-            ThreadBackend,
-        )
+        from repro.bigdata.backends import ProcessBackend, SerialBackend
 
-        return [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
+        return [SerialBackend(), ProcessBackend(2)]
 
     def test_chunked_partitions_in_order(self):
         from repro.bigdata.backends import chunked
@@ -181,28 +197,23 @@ class TestExecutionBackends:
         tasks = list(range(20))
         expected = [x * x for x in tasks]
         for backend in self._backends():
-            assert backend.map(_square, tasks) == expected
+            with backend:
+                assert backend.map(_square, tasks) == expected
 
     def test_get_backend_resolution(self):
         from repro.bigdata.backends import (
             ProcessBackend,
             SerialBackend,
-            ThreadBackend,
             get_backend,
         )
 
-        assert isinstance(get_backend("auto", workers=0), SerialBackend)
-        assert isinstance(get_backend("auto", workers=1), SerialBackend)
-        auto4 = get_backend("auto", workers=4)
-        assert isinstance(auto4, ProcessBackend)
-        assert auto4.workers == 4
-        assert isinstance(get_backend("thread", workers=3), ThreadBackend)
-        passthrough = ThreadBackend(2)
-        assert get_backend(passthrough) is passthrough
+        assert isinstance(get_backend(0), SerialBackend)
+        assert isinstance(get_backend(1), SerialBackend)
+        pool = get_backend(4)
+        assert isinstance(pool, ProcessBackend)
+        assert pool.workers == 4
         with pytest.raises(ValueError):
-            get_backend("cluster")
-        with pytest.raises(ValueError):
-            ThreadBackend(0)
+            ProcessBackend(-1)
 
     def test_mapreduce_identical_across_backends(self):
         serial_engine: MapReduce = MapReduce(shards=3)
@@ -210,23 +221,22 @@ class TestExecutionBackends:
             self.DOCS, _wc_mapper, _wc_reducer
         )
         for backend in self._backends():
-            engine: MapReduce = MapReduce(shards=3, backend=backend)
-            results, stats = engine.run(self.DOCS, _wc_mapper, _wc_reducer)
+            with backend:
+                engine: MapReduce = MapReduce(shards=3, backend=backend)
+                results, stats = engine.run(self.DOCS, _wc_mapper, _wc_reducer)
             assert results == reference
             assert stats == ref_stats
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
-    def test_worker_telemetry_merged_into_parent(self, backend_name):
+    def test_worker_telemetry_merged_into_parent(self):
         from repro import obs
-        from repro.bigdata.backends import get_backend
+        from repro.bigdata.backends import ProcessBackend
 
         obs.reset()
         obs.enable()
         try:
-            engine: MapReduce = MapReduce(
-                shards=2, backend=get_backend(backend_name, workers=2)
-            )
-            engine.run(self.DOCS, _traced_mapper, _wc_reducer)
+            with ProcessBackend(2) as backend:
+                engine: MapReduce = MapReduce(shards=2, backend=backend)
+                engine.run(self.DOCS, _traced_mapper, _wc_reducer)
             stages = obs.stage_breakdown()
         finally:
             obs.disable()
@@ -244,53 +254,46 @@ class TestExecutionBackends:
 class TestBackendWorkerCounts:
     """Regression: explicit worker counts must be honored exactly.
 
-    ``get_backend("thread", workers=1)`` used to hand back a 2-thread
-    pool and ``get_backend("process", workers=1)`` a cpu_count pool; an
-    explicit N >= 1 now always wins, with backend defaults reserved for
-    ``workers == 0``.
+    An explicit process count N >= 1 always wins; ``get_backend`` maps
+    ``workers <= 1`` to the in-process backend.
     """
 
     def test_explicit_one_worker_is_one_worker(self):
-        from repro.bigdata.backends import get_backend
+        from repro.bigdata.backends import ProcessBackend, get_backend
 
-        assert get_backend("serial", workers=1).workers == 1
-        assert get_backend("thread", workers=1).workers == 1
-        assert get_backend("process", workers=1).workers == 1
+        assert get_backend(1).workers == 1
+        assert ProcessBackend(1).workers == 1
 
     def test_explicit_counts_honored_for_every_backend(self):
-        from repro.bigdata.backends import get_backend
+        from repro.bigdata.backends import ProcessBackend, get_backend
 
-        for name in ("thread", "process"):
-            for n in (1, 2, 3, 5):
-                assert get_backend(name, workers=n).workers == n
+        for n in (1, 2, 3, 5):
+            assert ProcessBackend(n).workers == n
+        for n in (2, 3, 5):
+            assert get_backend(n).workers == n
 
     def test_zero_workers_means_backend_default(self):
         import os
 
-        from repro.bigdata.backends import get_backend
+        from repro.bigdata.backends import ProcessBackend, get_backend
 
-        assert get_backend("thread", workers=0).workers == 2
-        assert get_backend("process", workers=0).workers == (os.cpu_count() or 1)
+        assert get_backend(0).workers == 1
+        assert ProcessBackend().workers == (os.cpu_count() or 1)
 
     def test_negative_workers_rejected(self):
         from repro.bigdata.backends import get_backend
 
-        for name in ("serial", "thread", "process", "auto"):
-            with pytest.raises(ValueError):
-                get_backend(name, workers=-1)
+        with pytest.raises(ValueError):
+            get_backend(-1)
 
 
 class TestEmptyInputParity:
     """All backends agree on empty input: [] back, no initializer run."""
 
     def test_empty_map_returns_empty_without_initializer(self):
-        from repro.bigdata.backends import (
-            ProcessBackend,
-            SerialBackend,
-            ThreadBackend,
-        )
+        from repro.bigdata.backends import ProcessBackend, SerialBackend
 
-        for backend in (SerialBackend(), ThreadBackend(2), ProcessBackend(2)):
+        for backend in (SerialBackend(), ProcessBackend(2)):
             with backend:
                 assert backend.map(
                     _square, [], initializer=_boom_initializer
@@ -299,49 +302,11 @@ class TestEmptyInputParity:
             assert backend.spinups == 0
 
 
-class TestSchedules:
-    def test_dispatch_order_cost_sorted_with_index_tiebreak(self):
-        from repro.bigdata.backends import _dispatch_order
-
-        tasks = ["bb", "a", "ccc", "dd"]
-        assert _dispatch_order(tasks, "steal", len) == [
-            (2, "ccc"), (0, "bb"), (3, "dd"), (1, "a")
-        ]
-        assert _dispatch_order(tasks, "static", len) == list(enumerate(tasks))
-        # Without a cost estimate, stealing degrades to index order.
-        assert _dispatch_order(tasks, "steal", None) == list(enumerate(tasks))
-
-    def test_steal_results_equal_static_on_every_backend(self):
-        from repro.bigdata.backends import (
-            ProcessBackend,
-            SerialBackend,
-            ThreadBackend,
-        )
-
-        tasks = list(range(17))
-        expected = [x * x for x in tasks]
-        for backend in (SerialBackend(), ThreadBackend(2), ProcessBackend(2)):
-            with backend:
-                assert backend.map(
-                    _square, tasks, schedule="steal", cost_key=lambda t: t % 5
-                ) == expected
-
-    def test_unknown_schedule_rejected(self):
-        from repro.bigdata.backends import SerialBackend, ThreadBackend
-
-        with pytest.raises(ValueError):
-            SerialBackend().map(_square, [1], schedule="lifo")
-        with ThreadBackend(2) as backend:
-            with pytest.raises(ValueError):
-                backend.map(_square, [1], schedule="")
-
-
 class TestPoolPersistence:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_pool_reused_across_maps(self, kind):
-        from repro.bigdata.backends import get_backend
+    def test_pool_reused_across_maps(self):
+        from repro.bigdata.backends import ProcessBackend
 
-        backend = get_backend(kind, workers=2)
+        backend = ProcessBackend(2)
         try:
             assert (backend.spinups, backend.reuses) == (0, 0)
             assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
@@ -351,11 +316,10 @@ class TestPoolPersistence:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_close_then_map_respins(self, kind):
-        from repro.bigdata.backends import get_backend
+    def test_close_then_map_respins(self):
+        from repro.bigdata.backends import ProcessBackend
 
-        backend = get_backend(kind, workers=2)
+        backend = ProcessBackend(2)
         try:
             backend.map(_square, [1])
             backend.close()
@@ -365,26 +329,26 @@ class TestPoolPersistence:
             backend.close()
 
     def test_context_manager_closes_pool(self):
-        from repro.bigdata.backends import ThreadBackend
+        from repro.bigdata.backends import ProcessBackend
 
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             backend.map(_square, [1, 2])
             assert backend._pool is not None
         assert backend._pool is None
 
-    def test_initializer_delivered_per_call_on_persistent_thread_pool(self):
-        from repro.bigdata.backends import ThreadBackend
+    def test_initializer_delivered_per_call_on_persistent_process_pool(self):
+        from repro.bigdata.backends import ProcessBackend
 
-        bucket: list = []
-        with ThreadBackend(2) as backend:
-            backend.map(_square, [1, 2, 3], initializer=_append_marker,
-                        initargs=(bucket, "first"))
-            backend.map(_square, [4, 5, 6], initializer=_append_marker,
-                        initargs=(bucket, "second"))
+        with ProcessBackend(2) as backend:
+            first = backend.map(_read_marker, [1, 2, 3],
+                                initializer=_set_marker, initargs=("first",))
+            second = backend.map(_read_marker, [4, 5, 6],
+                                 initializer=_set_marker, initargs=("second",))
+            assert backend.spinups == 1
         # The pool persisted across calls, yet each call's initializer
-        # reached the workers that executed it (once per thread per call).
-        assert {"first", "second"} <= set(bucket)
-        assert len(bucket) <= 4  # never more than workers x calls
+        # reached every worker before that call's tasks ran.
+        assert first == ["first"] * 3
+        assert second == ["second"] * 3
 
 
 class TestWorkerTelemetryGrouping:
@@ -393,13 +357,13 @@ class TestWorkerTelemetryGrouping:
 
     def test_one_wrapper_span_per_worker(self):
         from repro import obs
-        from repro.bigdata.backends import ThreadBackend
+        from repro.bigdata.backends import ProcessBackend
         from repro.obs import core as obs_core
 
         obs.reset()
         obs.enable()
         try:
-            with ThreadBackend(1) as backend:
+            with ProcessBackend(1) as backend:
                 with obs_core.span("test.call"):
                     backend.map(_traced_mapper, self.DOCS)
             roots = obs_core.take_roots()
@@ -420,16 +384,15 @@ class TestWorkerTelemetryGrouping:
             span.name == "test.map" for span in wrappers[0].children
         )
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_workers_one_uses_exactly_one_worker(self, kind):
+    def test_workers_one_uses_exactly_one_worker(self):
         from repro import obs
-        from repro.bigdata.backends import get_backend
+        from repro.bigdata.backends import ProcessBackend
         from repro.obs import core as obs_core
 
         obs.reset()
         obs.enable()
         try:
-            with get_backend(kind, workers=1) as backend:
+            with ProcessBackend(1) as backend:
                 assert backend.workers == 1
                 backend.map(_traced_mapper, self.DOCS)
             counters = obs_core.counters()
@@ -446,23 +409,46 @@ class TestWorkerTelemetryGrouping:
 
     def test_utilization_histogram_covers_all_tasks(self):
         from repro import obs
-        from repro.bigdata.backends import ThreadBackend
+        from repro.bigdata.backends import ProcessBackend
         from repro.obs import core as obs_core
 
         obs.reset()
         obs.enable()
         try:
-            with ThreadBackend(2) as backend:
-                backend.map(
-                    _traced_mapper, self.DOCS,
-                    schedule="steal", cost_key=len,
-                )
+            with ProcessBackend(2) as backend:
+                backend.map(_traced_mapper, self.DOCS)
             tasks_hist = obs_core.histograms()["backend.worker.tasks"]
         finally:
             obs.disable()
             obs.reset()
         assert sum(tasks_hist.values) == len(self.DOCS)
         assert 1 <= tasks_hist.count <= 2  # one sample per worker
+
+    def test_both_workers_report_busy_time(self):
+        from repro import obs
+        from repro.bigdata.backends import ProcessBackend
+        from repro.obs import core as obs_core
+
+        tasks = [0.05] * 6
+        obs.reset()
+        obs.enable()
+        try:
+            with ProcessBackend(2) as backend:
+                assert backend.map(_sleepy, tasks) == tasks
+            counters = obs_core.counters()
+            histograms = obs_core.histograms()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["backend.tasks_dispatched"] == len(tasks)
+        # A worker is never idle while a sleeping peer holds the queue's
+        # head, so both workers ran tasks and both reported busy time.
+        tasks_per_worker = histograms["backend.worker.tasks"].values
+        assert len(tasks_per_worker) == 2
+        assert sum(tasks_per_worker) == len(tasks)
+        busy = histograms["backend.worker.busy_s"].values
+        assert len(busy) == 2
+        assert all(seconds > 0 for seconds in busy)
 
 
 class TestPrefixSpan:
@@ -591,144 +577,3 @@ class TestChunkedEdgeCases:
             assert len(batches) == max(1, min(chunks, len(items)))
             sizes = [len(batch) for batch in batches]
             assert max(sizes) - min(sizes) <= 1
-
-
-class TestCostModel:
-    def test_first_record_is_estimate(self):
-        from repro.bigdata import CostModel
-
-        model = CostModel()
-        model.record("k", 2.0)
-        assert model.estimate("k") == 2.0
-
-    def test_ewma_folding(self):
-        from repro.bigdata import CostModel
-
-        model = CostModel(alpha=0.5)
-        model.record("k", 1.0)
-        model.record("k", 3.0)
-        assert model.estimate("k") == pytest.approx(2.0)
-
-    def test_estimates_for_is_all_or_nothing(self):
-        from repro.bigdata import CostModel
-
-        model = CostModel()
-        model.record("a", 1.0)
-        assert model.estimates_for(["a", "b"]) is None
-        model.record("b", 2.0)
-        estimates = model.estimates_for(["a", "b"])
-        assert estimates == {"a": 1.0, "b": 2.0}
-
-    def test_save_load_roundtrip_is_deterministic(self, tmp_path):
-        from repro.bigdata import CostModel
-
-        path = str(tmp_path / "costs.json")
-        model = CostModel(path=path, alpha=0.5)
-        model.record("x", 0.25)
-        model.record("y", 4.0)
-        model.save()
-        first = open(path, "rb").read()
-        reloaded = CostModel(path=path)
-        assert reloaded.estimate("x") == pytest.approx(0.25)
-        assert reloaded.estimate("y") == pytest.approx(4.0)
-        reloaded.save()
-        assert open(path, "rb").read() == first
-
-    def test_batch_key_shape(self):
-        from repro.bigdata import batch_key
-
-        assert batch_key([]) .endswith("#0")
-        key = batch_key(["Ada", "Zeno"])
-        assert "Ada" in key and "Zeno" in key and key.endswith("#2")
-        assert batch_key(["Ada", "Zeno"]) != batch_key(["Ada", "Zeno", "Bob"])
-
-    def test_replay_reorders_but_preserves_results(self):
-        from repro.bigdata import CostModel, batch_key
-        from repro.bigdata.backends import ThreadBackend
-
-        tasks = [["a"], ["b", "b"], ["c"] * 5, ["d"]]
-        expected = [len(t) for t in tasks]
-        model = CostModel()
-        with ThreadBackend(2) as backend:
-            first = backend.map(
-                _measured_len, tasks,
-                schedule="steal", cost_key=len,
-                cost_model=model, task_key=batch_key,
-            )
-            assert first == expected
-            assert model.recorded == len(tasks)
-            # Second call replays measured costs for the steal order.
-            second = backend.map(
-                _measured_len, tasks,
-                schedule="steal", cost_key=len,
-                cost_model=model, task_key=batch_key,
-            )
-            assert second == expected
-            assert model.replayed >= 1
-
-    def test_recording_is_deterministic_across_backends(self):
-        from repro.bigdata import CostModel, batch_key
-        from repro.bigdata.backends import SerialBackend, ThreadBackend
-
-        tasks = [["a"], ["b", "b"], ["c"] * 3]
-        keys = [batch_key(t) for t in tasks]
-        for backend in (SerialBackend(), ThreadBackend(2)):
-            model = CostModel()
-            with backend:
-                backend.map(
-                    _measured_len, tasks,
-                    cost_key=len, cost_model=model, task_key=batch_key,
-                )
-            assert model.stats()["keys"] == len(keys)
-            assert all(model.estimate(key) is not None for key in keys)
-
-
-class TestSplitDominant:
-    def test_splits_dominant_batch(self):
-        from repro.bigdata import split_dominant
-
-        batches = [list(range(8)), [100], [200]]
-        result = split_dominant(batches, estimate=len, factor=2.0)
-        assert [x for b in result for x in b] == list(range(8)) + [100, 200]
-        assert max(len(b) for b in result) < 8
-
-    def test_balanced_batches_untouched(self):
-        from repro.bigdata import split_dominant
-
-        batches = [[1, 2], [3, 4], [5, 6]]
-        assert split_dominant(batches, estimate=len) == batches
-
-    def test_singleton_batch_cannot_split(self):
-        from repro.bigdata import split_dominant
-
-        batches = [["huge"], ["a"], ["b"]]
-        estimate = lambda b: 100.0 if b == ["huge"] else 1.0
-        assert split_dominant(batches, estimate=estimate) == batches
-
-    def test_factor_validation(self):
-        from repro.bigdata import split_dominant
-
-        with pytest.raises(ValueError):
-            split_dominant([[1]], estimate=len, factor=1.0)
-
-    def test_make_batch_estimator_scales_static_costs(self):
-        from repro.bigdata import CostModel, batch_key
-        from repro.bigdata.costs import make_batch_estimator
-
-        batches = [["a", "a"], ["b"] * 4]
-        model = CostModel()
-        # 2 units measured at 1.0s => 0.5 s/unit.
-        model.record(batch_key(batches[0]), 1.0)
-        estimate = make_batch_estimator(model, batches, static_cost=len)
-        assert estimate(batches[0]) == pytest.approx(1.0)   # measured
-        assert estimate(batches[1]) == pytest.approx(2.0)   # 4 * 0.5 scaled
-
-    def test_make_batch_estimator_without_model_uses_static(self):
-        from repro.bigdata.costs import make_batch_estimator
-
-        estimate = make_batch_estimator(None, [["a"]], static_cost=len)
-        assert estimate(["x", "y"]) == 2.0
-
-
-def _measured_len(batch):
-    return len(batch)

@@ -31,14 +31,13 @@ class TestBuild:
         kb = load(str(path))
         assert len(kb) > 500
 
-    def test_reasoner_workers_build_matches_serial(self, built_kb, tmp_path):
+    def test_workers_build_matches_serial(self, built_kb, tmp_path):
         path, __ = built_kb
-        parallel_path = tmp_path / "kb-reasoner.nt"
+        parallel_path = tmp_path / "kb-workers.nt"
         out = io.StringIO()
         code = main(
             [
-                "build", "--seed", "7", "--people", "60",
-                "--reasoner-workers", "2", "--reasoner-backend", "thread",
+                "build", "--seed", "7", "--people", "60", "--workers", "2",
                 "--out", str(parallel_path),
             ],
             out=out,
@@ -46,17 +45,17 @@ class TestBuild:
         assert code == 0
         assert parallel_path.read_text() == path.read_text()
 
-    def test_negative_reasoner_workers_rejected(self, tmp_path):
+    def test_negative_workers_rejected(self, tmp_path):
         out = io.StringIO()
         code = main(
             [
                 "build", "--seed", "7", "--people", "10",
-                "--reasoner-workers", "-1", "--out", str(tmp_path / "kb.nt"),
+                "--workers", "-1", "--out", str(tmp_path / "kb.nt"),
             ],
             out=out,
         )
         assert code == 2
-        assert "reasoner-workers" in out.getvalue()
+        assert "--workers" in out.getvalue()
 
 
 class TestStats:

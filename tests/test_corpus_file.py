@@ -136,21 +136,27 @@ class TestOpenCorpusCache:
 
 
 class TestBuilderTransport:
-    def test_file_and_memory_transports_agree_byte_for_byte(self, small_world):
+    def test_process_build_ships_path_not_corpus(self, small_world):
+        from repro import obs
         from repro.determinism import canonical_kb_lines
         from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
 
         world, wiki = small_world
-        lines = {}
-        for transport in ("memory", "file"):
-            config = BuildConfig(
-                workers=2, backend="thread", corpus_transport=transport
-            )
-            kb, __ = KnowledgeBaseBuilder(
-                wiki, aliases=world.aliases, config=config
+        serial, __ = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        obs.reset()
+        obs.enable()
+        try:
+            pooled, __ = KnowledgeBaseBuilder(
+                wiki, aliases=world.aliases, config=BuildConfig(workers=2)
             ).build()
-            lines[transport] = canonical_kb_lines(kb)
-        assert lines["memory"] == lines["file"]
+            payload = obs.core.histograms()["backend.init.payload_bytes"]
+        finally:
+            obs.disable()
+            obs.reset()
+        # Workers receive the corpus file's path and the config, never the
+        # pickled wiki: the setup broadcast stays under 1 KB.
+        assert payload.values and max(payload.values) < 1024
+        assert canonical_kb_lines(pooled) == canonical_kb_lines(serial)
 
     def test_explicit_corpus_file_is_materialized_and_reused(
         self, small_world, tmp_path
@@ -159,22 +165,9 @@ class TestBuilderTransport:
 
         world, wiki = small_world
         path = str(tmp_path / "corpus.rprocrp")
-        config = BuildConfig(
-            workers=2, backend="thread",
-            corpus_transport="file", corpus_file=path,
-        )
+        config = BuildConfig(workers=2, corpus_file=path)
         KnowledgeBaseBuilder(wiki, aliases=world.aliases, config=config).build()
         assert os.path.exists(path)
         stamp = os.stat(path).st_mtime_ns
         KnowledgeBaseBuilder(wiki, aliases=world.aliases, config=config).build()
         assert os.stat(path).st_mtime_ns == stamp  # reused, not rewritten
-
-    def test_unknown_transport_rejected(self, small_world):
-        from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
-
-        world, wiki = small_world
-        config = BuildConfig(corpus_transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            KnowledgeBaseBuilder(
-                wiki, aliases=world.aliases, config=config
-            ).build()

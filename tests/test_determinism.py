@@ -316,59 +316,30 @@ class TestLint:
 
 class TestCrossModeReporting:
     def test_default_mode_matrix_covers_every_strategy(self):
-        from repro.determinism import CROSS_MODES
+        from repro.determinism import CROSS_MODES, SEGMENT_MODES
 
-        labels = [mode.label for mode in CROSS_MODES]
-        assert labels == [
-            "serial", "shards4", "thread2", "process2",
-            "reasoner-thread2", "reasoner-process2",
-            "steal-thread2", "steal-process2",
-            "corpus-thread2", "corpus-process2", "steal-corpus-process2",
-        ]
+        assert [mode.label for mode in CROSS_MODES] == ["serial", "process2"]
         by_label = {mode.label: mode for mode in CROSS_MODES}
-        assert by_label["shards4"].shards == 4
-        assert by_label["thread2"].backend == "thread"
+        assert by_label["serial"].workers == 0
+        # The pooled mode's workers read pages from the corpus file.
         assert by_label["process2"].workers == 2
-        assert by_label["reasoner-thread2"].reasoner_backend == "thread"
-        assert by_label["reasoner-thread2"].reasoner_workers == 2
-        assert by_label["reasoner-process2"].reasoner_backend == "process"
-        assert by_label["reasoner-process2"].reasoner_workers == 2
-        # The steal modes run work-stealing dispatch through *both* the
-        # extraction and reasoner stages, over one shared worker pool.
-        for label in ("steal-thread2", "steal-process2"):
-            mode = by_label[label]
-            assert mode.schedule == "steal"
-            assert mode.workers == 2 and mode.reasoner_workers == 2
-            assert mode.backend == mode.reasoner_backend
-        # Static modes leave the schedule at the CLI default.
-        assert by_label["serial"].schedule is None
-        # The corpus modes push page payloads through the segment-backed
-        # file transport instead of the pickled broadcast.
-        for label in (
-            "corpus-thread2", "corpus-process2", "steal-corpus-process2"
-        ):
-            mode = by_label[label]
-            assert mode.corpus_transport == "file"
-            assert mode.workers == 2
-        assert by_label["steal-corpus-process2"].schedule == "steal"
-        # Everything else leaves the transport at the CLI default (auto).
-        assert by_label["serial"].corpus_transport is None
+        assert SEGMENT_MODES == CROSS_MODES
 
     def test_report_describe_ok_and_divergent(self):
         from repro.determinism import CrossModeReport, Divergence
 
-        ok = CrossModeReport(ok=True, modes=["serial", "shards4"], triples=10)
+        ok = CrossModeReport(ok=True, modes=["serial", "process2"], triples=10)
         assert "cross-mode deterministic" in ok.describe()
-        assert "serial, shards4" in ok.describe()
+        assert "serial, process2" in ok.describe()
         bad = CrossModeReport(
             ok=False,
-            modes=["serial", "thread2"],
-            diverging_mode="thread2",
+            modes=["serial", "process2"],
+            diverging_mode="process2",
             divergence=Divergence(0, 1, "line a", "line b", "stage"),
         )
         text = bad.describe()
         assert "NOT cross-mode deterministic" in text
-        assert "thread2" in text
+        assert "process2" in text
 
     def test_too_few_modes_rejected(self):
         from repro.determinism import BuildMode, check_cross_mode

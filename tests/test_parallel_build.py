@@ -1,8 +1,8 @@
 """Cross-backend build equivalence: every execution mode, one KB.
 
-The pipeline's contract after the order-dependence fixes is that serial,
-sharded map-reduce, thread-pool, and process-pool builds of the same wiki
-produce *byte-identical* canonical KBs and the same report counters.
+The pipeline's contract after the order-dependence fixes is that serial
+and process-pool builds of the same wiki produce *byte-identical*
+canonical KBs and the same report counters.
 These tests run the full matrix in-process (the subprocess variant is
 ``repro check-determinism --cross-mode``), plus the supporting
 regressions: order-independent candidate merging, picklable payloads,
@@ -24,25 +24,10 @@ from repro.kb import Entity, Relation, TimeSpan, Triple
 from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
 from repro.world import WorldConfig, generate_world
 
-#: The execution-mode matrix: label -> BuildConfig overrides.  The
-#: reasoner modes exercise the component-decomposed parallel MaxSat path.
+#: The execution-mode matrix: label -> BuildConfig overrides.
 MODES = {
     "serial": {},
-    "shards4": {"mapreduce_shards": 4},
-    "thread2": {"workers": 2, "backend": "thread"},
-    "process2": {"workers": 2, "backend": "process"},
-    "reasoner-thread2": {"reasoner_workers": 2, "reasoner_backend": "thread"},
-    "reasoner-process2": {"reasoner_workers": 2, "reasoner_backend": "process"},
-    "steal-thread2": {
-        "workers": 2, "backend": "thread",
-        "reasoner_workers": 2, "reasoner_backend": "thread",
-        "schedule": "steal",
-    },
-    "steal-process2": {
-        "workers": 2, "backend": "process",
-        "reasoner_workers": 2, "reasoner_backend": "process",
-        "schedule": "steal",
-    },
+    "process2": {"workers": 2},
 }
 
 
@@ -67,7 +52,7 @@ def _comparable_report(report) -> dict:
     comparable = {
         field.name: getattr(report, field.name)
         for field in dataclasses.fields(report)
-        if field.name not in {"mapreduce", "backend", "workers", "schedule"}
+        if field.name not in {"backend", "workers"}
     }
     return comparable
 
@@ -96,23 +81,12 @@ class TestCrossBackendEquivalence:
         )
 
     def test_backend_recorded_in_report(self, mode_results):
-        __, thread_report = mode_results["thread2"]
-        assert thread_report.backend == "thread"
-        assert thread_report.workers == 2
+        __, serial_report = mode_results["serial"]
+        assert serial_report.backend == "serial"
+        assert serial_report.workers == 1
         __, process_report = mode_results["process2"]
         assert process_report.backend == "process"
         assert process_report.workers == 2
-
-    def test_schedule_recorded_in_report(self, mode_results):
-        __, steal_report = mode_results["steal-process2"]
-        assert steal_report.schedule == "steal"
-        __, static_report = mode_results["process2"]
-        assert static_report.schedule == "static"
-
-    def test_mapreduce_stats_still_reported(self, mode_results):
-        __, report = mode_results["shards4"]
-        assert report.mapreduce is not None
-        assert report.mapreduce.shards == 4
 
 
 class TestMergeOrderIndependence:
@@ -221,16 +195,11 @@ class TestAliasRegistration:
 
 
 class TestWorkerTelemetry:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_worker_spans_cover_all_extraction(
-        self, small_world, small_wiki, backend
-    ):
+    def test_worker_spans_cover_all_extraction(self, small_world, small_wiki):
         obs.reset()
         obs.enable()
         try:
-            __, report = _build(
-                small_world, small_wiki, workers=2, backend=backend
-            )
+            __, report = _build(small_world, small_wiki, workers=2)
             stages = obs.stage_breakdown()
         finally:
             obs.disable()

@@ -74,19 +74,32 @@ class TestEndToEndBuild:
         assert report.consistency.hard_violations == 0
 
     def test_mapreduce_build_matches_serial(self, world, wiki, built):
-        serial_kb, __ = built
-        mr_builder = KnowledgeBaseBuilder(
-            wiki,
-            aliases=world.aliases,
-            config=BuildConfig(mapreduce_shards=4),
-        )
-        mr_kb, mr_report = mr_builder.build()
-        assert mr_report.mapreduce is not None
-        assert mr_report.mapreduce.shards == 4
-        # Since the merge/provenance order-dependence fix, sharded and
-        # serial builds agree byte for byte — not just on fact overlap.
+        from repro.bigdata import MapReduce
         from repro.determinism import canonical_kb_text
+        from repro.pipeline.builder import PageExtractor
 
+        serial_kb, __ = built
+        builder = KnowledgeBaseBuilder(wiki, aliases=world.aliases)
+        extractor = PageExtractor(builder.resolver, builder.config)
+
+        def mapper(page):
+            for candidate in extractor.extract(page):
+                yield repr(candidate.key()), candidate
+
+        def reducer(key, candidates):
+            yield from candidates
+
+        # Per-page extraction as a map-reduce job: candidates come back
+        # grouped by shard and key, not in page order.
+        candidates, stats = MapReduce(shards=4).run(
+            [wiki.pages[title] for title in sorted(wiki.pages)],
+            mapper,
+            reducer,
+        )
+        assert stats.map_input_records == len(wiki.pages)
+        mr_kb, __ = builder.build(candidates=candidates)
+        # The merge is order-independent, so the job's output builds the
+        # serial KB byte for byte.
         assert canonical_kb_text(mr_kb) == canonical_kb_text(serial_kb)
 
     def test_qa_over_built_kb(self, world, wiki, built):
@@ -205,7 +218,7 @@ class TestCrossProcessDeterminism:
 
     This is the one determinism property an in-process test cannot check
     (the hash salt is fixed per process); it guards the contract behind
-    ``repro check-determinism`` and the sharded-vs-serial comparisons the
+    ``repro check-determinism`` and the serial-vs-parallel comparisons the
     ROADMAP's parallel-build work depends on.
     """
 
@@ -218,10 +231,3 @@ class TestCrossProcessDeterminism:
         assert report.ok, report.describe()
         assert report.triples > 500
 
-    def test_sharded_build_is_deterministic_too(self):
-        from repro.determinism import check_determinism
-
-        report = check_determinism(
-            runs=2, seed=7, people=25, shards=3, hash_seeds=[2, 3]
-        )
-        assert report.ok, report.describe()

@@ -7,7 +7,7 @@ The contract under test is three-layered:
   and the injector specs validate their parameters;
 * **determinism** — building the same profile twice yields the same
   bundle fingerprint, and the KB built from a scenario is byte-identical
-  across the serial, thread, and process execution backends;
+  across the serial and process execution backends;
 * **knobs and quality** — each stress profile measurably moves its
   target axis relative to ``baseline``, and the quality harness scores
   every profile above its pinned floor (with the burst profile's
@@ -38,8 +38,7 @@ from repro.world.scenarios import (
 
 #: Execution backends the byte-identity matrix covers.
 BACKENDS = {
-    "thread2": {"workers": 2, "backend": "thread"},
-    "process2": {"workers": 2, "backend": "process"},
+    "process2": {"workers": 2},
 }
 
 

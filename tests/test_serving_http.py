@@ -66,9 +66,8 @@ def url(server):
 
 
 class TestWorkersContract:
-    """serve --workers mirrors the get_backend contract (PR 5 fixes):
-    negative raises, 0 means the default, an explicit 1 means exactly one
-    server thread."""
+    """The serve --workers contract: negative raises, 0 means the
+    default, an explicit 1 means exactly one server thread."""
 
     def test_zero_means_default(self):
         assert resolve_server_workers(0) == DEFAULT_SERVER_WORKERS

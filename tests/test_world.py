@@ -181,6 +181,22 @@ class TestGenerator:
         with pytest.raises(ValueError, match="company per product family"):
             WorldConfig(n_companies=2, n_product_families=3)
 
+    def test_config_rejects_more_universities_than_name_patterns(self):
+        from repro.world.names import UNIVERSITY_PATTERNS
+
+        limit = len(UNIVERSITY_PATTERNS) * 8
+        WorldConfig(n_cities=8, n_universities=limit)
+        with pytest.raises(ValueError, match="universities per city"):
+            WorldConfig(n_cities=8, n_universities=limit + 1)
+
+    @pytest.mark.parametrize("seed", [306, 316, 397, 572976887])
+    def test_university_city_with_every_pattern_taken_is_redrawn(self, seed):
+        # Regression: these seeds drew some city a fourth time for a
+        # university, which exhausted its three name patterns.
+        world = generate_world(WorldConfig(seed=seed, n_people=100))
+        assert len(world.universities) == 10
+        assert len({world.name[u] for u in world.universities}) == 10
+
     def test_entities_of_class_subclass_closure(self, world):
         # Regression: superclass queries used to return only entities whose
         # *primary* class matched, so ORGANIZATION came back empty.

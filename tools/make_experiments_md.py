@@ -83,7 +83,7 @@ NARRATIVE: dict[str, tuple[str, str, str]] = {
     "E11": (
         "Dean & Ghemawat 2004 (MapReduce), as used by web-scale harvesting",
         "Shuffle volume grows linearly with the corpus; a combiner shrinks it dramatically; hash partitioning balances shards; running extraction through map-reduce changes the execution, not the result.",
-        "Shape holds: linear raw shuffle, ~10-30x combiner reduction, skew <= 1.25, identical accepted-fact counts at every shard count.",
+        "Shape holds: linear raw shuffle, ~10-30x combiner reduction, skew <= 1.25, and per-page extraction run as a map-reduce job builds the serial KB byte for byte at every shard count.",
     ),
     "E12": (
         "The tutorial's own motivating example (section 4)",
