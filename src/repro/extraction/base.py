@@ -78,25 +78,26 @@ def _scope_rank(candidate: Candidate) -> tuple:
     return _witness_rank(candidate) + (str(candidate.scope),)
 
 
-def candidates_to_store(
+def merged_triples(
     candidates: Iterable[Candidate], min_confidence: float = 0.0
-) -> TripleStore:
-    """A store of noisy-or-merged candidates above a confidence threshold.
+) -> list[Triple]:
+    """Noisy-or-merged candidates above a confidence threshold, as triples
+    in canonical (s, p, o) key order, one per fact.
 
     Multiple witnesses of the same fact (several sentences, several
     extractors) raise the merged confidence.  Provenance and temporal scope
     are elected deterministically and order-independently — the
     highest-confidence witness wins, ties broken by (extractor, evidence)
-    lexicographically — and triples are added in canonical key order, so
-    every build produces byte-identical stores regardless of candidate
+    lexicographically — and triples come out in canonical key order, so
+    every build produces byte-identical output regardless of candidate
     arrival order.
     """
     from ..determinism.stable import stable_str_key
 
-    store = TripleStore()
     witness_of: dict[tuple, Candidate] = {}
     scope_of: dict[tuple, Candidate] = {}
     all_candidates = list(candidates)
+    facts: list[Triple] = []
     with _obs.span("extract.merge") as merging:
         for candidate in all_candidates:
             key = candidate.key()
@@ -116,7 +117,7 @@ def candidates_to_store(
                 continue
             subject, relation, obj = key
             scoped = scope_of.get(key)
-            store.add(
+            facts.append(
                 Triple(
                     subject,
                     relation,
@@ -128,13 +129,20 @@ def candidates_to_store(
             )
         if _obs.ENABLED:
             merging.add("candidates", len(all_candidates))
-            merging.add("facts", len(store))
+            merging.add("facts", len(facts))
             merging.add("below_threshold", dropped)
             _obs.count("extract.candidates", len(all_candidates))
-            _obs.count("extract.merged_facts", len(store))
+            _obs.count("extract.merged_facts", len(facts))
             for extractor_name, witnesses in _witness_counts(all_candidates).items():
                 _obs.count(f"extract.candidates.{extractor_name}", witnesses)
-    return store
+    return facts
+
+
+def candidates_to_store(
+    candidates: Iterable[Candidate], min_confidence: float = 0.0
+) -> TripleStore:
+    """A store of :func:`merged_triples`, filled in canonical key order."""
+    return TripleStore(merged_triples(candidates, min_confidence))
 
 
 def _witness_counts(candidates: list[Candidate]) -> dict[str, int]:

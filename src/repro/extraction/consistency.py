@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from ..obs import core as _obs
@@ -79,22 +80,24 @@ class ConsistencyReasoner:
         self.component_cache = component_cache
 
     def ground(
-        self, candidates: TripleStore
+        self, candidates: Iterable[Triple]
     ) -> tuple[WeightedMaxSat, dict[FactKey, Triple], ConsistencyReport]:
         """Ground ``candidates`` into a weighted MaxSat instance.
 
+        ``candidates`` is a store or a list with one triple per (s, p, o)
+        key (such as :func:`~repro.kb.store.canonical_triples` yields).
         Returns the instance, the canonical key -> triple map, and a
         report carrying the per-family clause counts.  Grounding happens
         in canonical (s, p, o) order so clause indexes — and therefore the
-        WalkSAT trajectory — are the same no matter how the candidate
-        store was assembled.
+        WalkSAT trajectory — are the same no matter how the candidates
+        were assembled.
         """
-        report = ConsistencyReport(candidates=len(candidates))
-        problem = WeightedMaxSat()
         triples: dict[FactKey, Triple] = {
             triple.spo(): triple for triple in candidates
         }
         triples = {key: triples[key] for key in sorted(triples, key=repr)}
+        report = ConsistencyReport(candidates=len(triples))
+        problem = WeightedMaxSat()
         for key, triple in triples.items():
             weight = max(triple.confidence, self.min_confidence_weight)
             problem.add_soft_unit(key, True, weight)
@@ -113,9 +116,14 @@ class ConsistencyReasoner:
         return problem, triples, report
 
     def clean(
-        self, candidates: TripleStore, seed: int = 0
-    ) -> tuple[TripleStore, ConsistencyReport]:
-        """Return the accepted subset of ``candidates`` plus a report."""
+        self, candidates: "TripleStore | list[Triple]", seed: int = 0
+    ) -> tuple["TripleStore | list[Triple]", ConsistencyReport]:
+        """Return the accepted subset of ``candidates`` plus a report.
+
+        The accepted subset takes the form of the input: a new store when
+        ``candidates`` is a store, otherwise a list of triples in canonical
+        (s, p, o) order — what the pipeline feeds its single final store.
+        """
         with _obs.span("consistency.clean") as cleaning:
             problem, triples, report = self.ground(candidates)
 
@@ -143,13 +151,12 @@ class ConsistencyReasoner:
                 solving.add("trivial_vars", report.trivial_vars)
             report.soft_cost = result.soft_cost
             report.hard_violations = result.hard_violations
-            accepted = TripleStore()
-            for key, triple in triples.items():
-                if result.assignment.get(key, False):
-                    accepted.add(triple)
-                    report.accepted += 1
-                else:
-                    report.rejected += 1
+            accepted = [
+                triple for key, triple in triples.items()
+                if result.assignment.get(key, False)
+            ]
+            report.accepted = len(accepted)
+            report.rejected = len(triples) - report.accepted
             if _obs.ENABLED:
                 cleaning.add("candidates", report.candidates)
                 cleaning.add("accepted", report.accepted)
@@ -165,6 +172,8 @@ class ConsistencyReasoner:
                     "consistency.clauses.disjoint", report.disjoint_clauses
                 )
                 _obs.count("consistency.rejected", report.rejected)
+        if isinstance(candidates, TripleStore):
+            return TripleStore(accepted), report
         return accepted, report
 
     # --------------------------------------------------------- constraints

@@ -12,25 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kb import Triple, TripleStore, ns, string_literal
+from ..kb import Triple, TripleStore, canonical_triples, ns, string_literal
 from ..corpus.wiki import Wiki
 from ..linkage.strsim import edit_similarity, strip_language_suffix
 
 
-def harvest_labels(wiki: Wiki) -> TripleStore:
-    """rdfs:label triples (all languages) from pages and their links."""
-    store = TripleStore()
+def label_triples(wiki: Wiki) -> list[Triple]:
+    """rdfs:label triples (all languages) from pages and their links, in
+    canonical (s, p, o) key order."""
+    labels = []
     for page in wiki.pages.values():
-        store.add(
+        labels.append(
             Triple(page.entity, ns.LABEL, string_literal(page.title, "en"),
                    confidence=1.0, source=page.title)
         )
         for lang, title in page.interlanguage.items():
-            store.add(
+            labels.append(
                 Triple(page.entity, ns.LABEL, string_literal(title, lang),
                        confidence=0.95, source=page.title)
             )
-    return store
+    return canonical_triples(labels)
+
+
+def harvest_labels(wiki: Wiki) -> TripleStore:
+    """A store of :func:`label_triples`."""
+    return TripleStore(label_triples(wiki))
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from .terms import (
 )
 from .triple import ALWAYS, TimeSpan, Triple
 from .engine import InMemoryEngine, ReadableStore, ReadOnlyStoreError
-from .store import MutationCounts, TripleStore
+from .store import MutationCounts, TripleStore, canonical_triples
 from .segments import (
     SegmentSnapshot,
     SegmentStore,
@@ -53,6 +53,7 @@ __all__ = [
     "ReadOnlyStoreError",
     "MutationCounts",
     "TripleStore",
+    "canonical_triples",
     "SegmentSnapshot",
     "SegmentStore",
     "diff_segment_dirs",

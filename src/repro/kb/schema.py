@@ -11,22 +11,41 @@ instance, and disjointness questions; it also exposes relation signatures
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from . import ns
 from .terms import Entity, Relation
 from .store import TripleStore
+from .triple import Triple
+
+
+#: The predicates a :class:`Taxonomy` reads; every other triple is ignored.
+_TAXONOMY_PREDICATES = (
+    ns.SUBCLASS_OF,
+    ns.TYPE,
+    ns.DOMAIN,
+    ns.RANGE,
+    ns.FUNCTIONAL,
+    ns.DISJOINT_WITH,
+    ns.DISJOINT_CLASS_WITH,
+)
 
 
 class Taxonomy:
-    """A class hierarchy plus relation signatures, derived from a store.
+    """A class hierarchy plus relation signatures, derived from triples.
 
-    The taxonomy is a snapshot: build it once after the schema triples are
-    loaded.  Cycles in ``subClassOf`` are tolerated (each class simply ends
-    up subsuming the others in its cycle).
+    The taxonomy is a frozen snapshot: it is loaded once, from a store or
+    from any iterable of triples, and never changes afterwards.  That is
+    what lets every closure it computes — superclasses, subclasses, an
+    entity's transitive types — be memoized per class or entity on first
+    use.  Public methods hand out fresh sets, so a caller mutating an
+    answer can never change the next one.  Cycles in ``subClassOf`` are
+    tolerated (each class simply ends up subsuming the others in its
+    cycle).
     """
 
-    def __init__(self, store: TripleStore) -> None:
+    def __init__(self, source: "TripleStore | Iterable[Triple]") -> None:
         self._parents: dict[Entity, set[Entity]] = defaultdict(set)
         self._children: dict[Entity, set[Entity]] = defaultdict(set)
         self._instances: dict[Entity, set[Entity]] = defaultdict(set)
@@ -36,32 +55,47 @@ class Taxonomy:
         self._functional: set[Relation] = set()
         self._disjoint_relations: set[frozenset[Relation]] = set()
         self._disjoint_classes: set[frozenset[Entity]] = set()
-        self._load(store)
+        # Memoized closures (see the class docstring): class -> proper
+        # superclasses / subclasses, entity -> transitive types, and
+        # (class, class) -> disjointness.
+        self._up: dict[Entity, frozenset[Entity]] = {}
+        self._down: dict[Entity, frozenset[Entity]] = {}
+        self._type_closure: dict[Entity, frozenset[Entity]] = {}
+        self._disjoint: dict[tuple[Entity, Entity], bool] = {}
+        if hasattr(source, "match"):
+            store = source
+            source = chain.from_iterable(
+                store.match(None, predicate, None)
+                for predicate in _TAXONOMY_PREDICATES
+            )
+        self._load(source)
 
-    def _load(self, store: TripleStore) -> None:
-        for t in store.match(None, ns.SUBCLASS_OF, None):
-            if isinstance(t.subject, Entity) and isinstance(t.object, Entity):
-                self._parents[t.subject].add(t.object)
-                self._children[t.object].add(t.subject)
-        for t in store.match(None, ns.TYPE, None):
-            if isinstance(t.subject, Entity) and isinstance(t.object, Entity):
-                self._instances[t.object].add(t.subject)
-                self._types[t.subject].add(t.object)
-        for t in store.match(None, ns.DOMAIN, None):
-            if isinstance(t.subject, Relation) and isinstance(t.object, Entity):
-                self._domain[t.subject] = t.object
-        for t in store.match(None, ns.RANGE, None):
-            if isinstance(t.subject, Relation) and isinstance(t.object, Entity):
-                self._range[t.subject] = t.object
-        for t in store.match(None, ns.FUNCTIONAL, None):
-            if isinstance(t.subject, Relation):
-                self._functional.add(t.subject)
-        for t in store.match(None, ns.DISJOINT_WITH, None):
-            if isinstance(t.subject, Relation) and isinstance(t.object, Relation):
-                self._disjoint_relations.add(frozenset((t.subject, t.object)))
-        for t in store.match(None, ns.DISJOINT_CLASS_WITH, None):
-            if isinstance(t.subject, Entity) and isinstance(t.object, Entity):
-                self._disjoint_classes.add(frozenset((t.subject, t.object)))
+    def _load(self, triples: Iterable[Triple]) -> None:
+        for t in triples:
+            predicate, subject, obj = t.predicate, t.subject, t.object
+            if predicate == ns.SUBCLASS_OF:
+                if isinstance(subject, Entity) and isinstance(obj, Entity):
+                    self._parents[subject].add(obj)
+                    self._children[obj].add(subject)
+            elif predicate == ns.TYPE:
+                if isinstance(subject, Entity) and isinstance(obj, Entity):
+                    self._instances[obj].add(subject)
+                    self._types[subject].add(obj)
+            elif predicate == ns.DOMAIN:
+                if isinstance(subject, Relation) and isinstance(obj, Entity):
+                    self._domain[subject] = obj
+            elif predicate == ns.RANGE:
+                if isinstance(subject, Relation) and isinstance(obj, Entity):
+                    self._range[subject] = obj
+            elif predicate == ns.FUNCTIONAL:
+                if isinstance(subject, Relation):
+                    self._functional.add(subject)
+            elif predicate == ns.DISJOINT_WITH:
+                if isinstance(subject, Relation) and isinstance(obj, Relation):
+                    self._disjoint_relations.add(frozenset((subject, obj)))
+            elif predicate == ns.DISJOINT_CLASS_WITH:
+                if isinstance(subject, Entity) and isinstance(obj, Entity):
+                    self._disjoint_classes.add(frozenset((subject, obj)))
 
     # -------------------------------------------------------------- hierarchy
 
@@ -74,15 +108,39 @@ class Taxonomy:
 
     def superclasses(self, cls: Entity, include_self: bool = False) -> set[Entity]:
         """The transitive superclasses of ``cls`` (BFS over subClassOf)."""
-        return self._closure(cls, self._parents, include_self)
+        found = set(self._ancestors(cls))
+        if include_self:
+            found.add(cls)
+        return found
 
     def subclasses(self, cls: Entity, include_self: bool = False) -> set[Entity]:
         """The transitive subclasses of ``cls``."""
-        return self._closure(cls, self._children, include_self)
+        found = set(self._descendants(cls))
+        if include_self:
+            found.add(cls)
+        return found
+
+    def _ancestors(self, cls: Entity) -> frozenset[Entity]:
+        """The memoized proper superclasses of ``cls`` (shared: never hand
+        it out)."""
+        return self._closure(cls, self._parents, self._up)
+
+    def _descendants(self, cls: Entity) -> frozenset[Entity]:
+        """The memoized proper subclasses of ``cls`` (shared)."""
+        return self._closure(cls, self._children, self._down)
 
     @staticmethod
-    def _closure(start: Entity, edges: dict[Entity, set[Entity]], include_self: bool) -> set[Entity]:
-        seen: set[Entity] = {start} if include_self else set()
+    def _closure(
+        start: Entity,
+        edges: dict[Entity, set[Entity]],
+        memo: dict[Entity, frozenset[Entity]],
+    ) -> frozenset[Entity]:
+        """Every node reachable from ``start`` (BFS), ``start`` excluded
+        even when a cycle leads back to it; computed once per ``memo``."""
+        closure = memo.get(start)
+        if closure is not None:
+            return closure
+        seen: set[Entity] = set()
         queue = deque(edges.get(start, ()))
         visited = {start}
         while queue:
@@ -92,29 +150,37 @@ class Taxonomy:
             visited.add(node)
             seen.add(node)
             queue.extend(edges.get(node, ()))
-        return seen
+        closure = memo[start] = frozenset(seen)
+        return closure
 
     def is_subclass_of(self, sub: Entity, sup: Entity) -> bool:
         """True if ``sub`` is ``sup`` or a transitive subclass of it."""
-        return sub == sup or sup == ns.THING or sup in self.superclasses(sub)
+        return sub == sup or sup == ns.THING or sup in self._ancestors(sub)
 
     # -------------------------------------------------------------- instances
 
     def types_of(self, entity: Entity, transitive: bool = True) -> set[Entity]:
         """The classes an entity belongs to (transitive closure by default)."""
-        direct = set(self._types.get(entity, ()))
         if not transitive:
-            return direct
-        full = set(direct)
-        for cls in direct:  # det: allow-unordered -- set union commutes
-            full |= self.superclasses(cls)
-        return full
+            return set(self._types.get(entity, ()))
+        return set(self._all_types(entity))
+
+    def _all_types(self, entity: Entity) -> frozenset[Entity]:
+        """The memoized transitive types of ``entity`` (shared)."""
+        closure = self._type_closure.get(entity)
+        if closure is None:
+            direct = self._types.get(entity, ())
+            full = set(direct)
+            for cls in direct:  # det: allow-unordered -- set union commutes
+                full |= self._ancestors(cls)
+            closure = self._type_closure[entity] = frozenset(full)
+        return closure
 
     def instances_of(self, cls: Entity, transitive: bool = True) -> set[Entity]:
         """The entities of a class (including subclass instances by default)."""
         found = set(self._instances.get(cls, ()))
         if transitive:
-            for sub in self.subclasses(cls):
+            for sub in self._descendants(cls):  # det: allow-unordered -- set union commutes
                 found |= self._instances.get(sub, set())
         return found
 
@@ -122,7 +188,7 @@ class Taxonomy:
         """True if the entity is a (transitive) instance of the class."""
         if cls == ns.THING:
             return True
-        return cls in self.types_of(entity)
+        return cls in self._all_types(entity)
 
     # ---------------------------------------------------------------- schema
 
@@ -156,13 +222,18 @@ class Taxonomy:
 
     def are_disjoint_classes(self, c1: Entity, c2: Entity) -> bool:
         """True if some declared-disjoint pair subsumes (c1, c2)."""
-        ancestors1 = self.superclasses(c1, include_self=True)
-        ancestors2 = self.superclasses(c2, include_self=True)
-        for pair in self._disjoint_classes:  # det: allow-unordered -- symmetric membership test
-            a, b = tuple(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
-            if (a in ancestors1 and b in ancestors2) or (b in ancestors1 and a in ancestors2):
-                return True
-        return False
+        answer = self._disjoint.get((c1, c2))
+        if answer is None:
+            ancestors1 = self.superclasses(c1, include_self=True)
+            ancestors2 = self.superclasses(c2, include_self=True)
+            answer = False
+            for pair in self._disjoint_classes:  # det: allow-unordered -- symmetric membership test
+                a, b = tuple(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
+                if (a in ancestors1 and b in ancestors2) or (b in ancestors1 and a in ancestors2):
+                    answer = True
+                    break
+            self._disjoint[(c1, c2)] = answer
+        return answer
 
     def type_violations(self, store: TripleStore) -> list:
         """Triples whose subject/object types violate domain/range declarations.
@@ -195,7 +266,6 @@ def schema_triples(
     functional: bool = False,
 ) -> list:
     """Build the schema triples declaring a relation's signature."""
-    from .triple import Triple
     from .terms import Literal
 
     triples = []

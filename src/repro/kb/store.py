@@ -59,6 +59,27 @@ def epoch_hex(accumulator: int) -> str:
     return f"{accumulator & _EPOCH_MASK:032x}"
 
 
+def canonical_triples(triples: Iterable[Triple]) -> list[Triple]:
+    """The triples a store holds after adding ``triples``, in canonical
+    (s, p, o) key order — the order :meth:`TripleStore.merge` inserts them.
+
+    Duplicate keys elect their witness exactly as :meth:`TripleStore.add`
+    does (the first triple of the highest confidence), so
+    ``kb.add_all(canonical_triples(triples))`` performs the same adds, in
+    the same order, as ``kb.merge(TripleStore(triples))`` — without
+    building the intermediate store.  Keys sort by ``repr`` (what
+    :func:`~repro.determinism.stable.stable_str_key` yields for a tuple),
+    which no process hash seed can reorder.
+    """
+    witness: dict[tuple, Triple] = {}
+    for triple in triples:
+        key = triple.spo()
+        existing = witness.get(key)
+        if existing is None or triple.confidence > existing.confidence:
+            witness[key] = triple
+    return [witness[key] for key in sorted(witness, key=repr)]
+
+
 class MutationCounts(int):
     """The result of a batched mutation: an ``int`` that still knows more.
 
@@ -206,20 +227,16 @@ class TripleStore:
 
     def merge(self, other: "TripleStore") -> MutationCounts:
         """Add all of ``other``'s triples into this store, in canonical
-        (s, p, o) key order.
+        (s, p, o) key order (see :func:`canonical_triples`).
 
         Insertion order decides index-bucket iteration order, which feeds
         KB output — so merging must not depend on the other store's
-        insertion *history* (the ``candidates_to_store`` contract: a delta
-        store assembled in any order merges identically).  Same result
-        contract as :meth:`add_all`: int value = new triples,
-        ``.replaced`` = witness replacements, ``.changed`` = both.
+        insertion *history*: a delta store assembled in any order merges
+        identically.  Same result contract as :meth:`add_all`: int value =
+        new triples, ``.replaced`` = witness replacements, ``.changed`` =
+        both.
         """
-        from ..determinism.stable import stable_str_key
-
-        return self.add_all(
-            sorted(other, key=lambda triple: stable_str_key(triple.spo()))
-        )
+        return self.add_all(canonical_triples(other))
 
     # ------------------------------------------------------------------- read
 

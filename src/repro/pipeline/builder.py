@@ -19,24 +19,32 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from ..kb import Entity, Taxonomy, Triple, TripleStore, ns
 from ..corpus.corpusfile import CorpusReader, open_corpus, write_corpus
 from ..corpus.wiki import Wiki, WikiPage
 from ..bigdata.backends import ExecutionBackend, chunked, get_backend
-from ..extraction.base import Candidate, candidates_to_store
+from ..extraction.base import Candidate
 from ..extraction.consistency import ConsistencyReasoner, ConsistencyReport
 from ..extraction.infobox import InfoboxExtractor
-from ..extraction.multilingual import harvest_labels
 from ..extraction.occurrences import sentence_occurrences
 from ..extraction.patterns import PatternExtractor
 from ..extraction.resolution import NameResolver
 from ..extraction.temporal import attach_scopes, extract_year_attributes
 from ..nlp.pipeline import analyze
 from ..obs import core as _obs
-from ..taxonomy.integration import integrate
 from ..world import schema as ws
+
+# The list-emitting stage functions, bound under the stage names a build
+# calls them by (and that external tracers hook in this module):
+# ``integrate`` -> type triples, ``candidates_to_store`` -> merged facts,
+# ``harvest_labels`` -> label triples.  Their store-returning namesakes in
+# the stage modules are thin wrappers over the same code.
+from ..extraction.base import merged_triples as candidates_to_store
+from ..extraction.multilingual import label_triples as harvest_labels
+from ..taxonomy.integration import integration_triples as integrate
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,15 +340,16 @@ class KnowledgeBaseBuilder:
             building.add("pages", report.pages)
             building.add("sentences", report.sentences)
 
-            kb = TripleStore()
-            kb.merge(ws.schema_store())
+            # Every stage emits a triple list in canonical (s, p, o) order;
+            # the KB is the one store of the build, filled once at the end.
+            with _obs.span("pipeline.schema"):
+                schema = ws.SCHEMA_TRIPLES
 
             # 1. Classes: category integration (types + subclass hierarchy).
             with _obs.span("pipeline.taxonomy") as tracing:
-                type_store, __ = integrate(self.wiki)
-                report.type_triples = len(type_store)
+                type_triples, __ = integrate(self.wiki)
+                report.type_triples = len(type_triples)
                 tracing.add("type_triples", report.type_triples)
-                kb.merge(type_store)
 
             # 2. Facts: per-page extraction, in-process or over the pool.
             with _obs.span("pipeline.extract") as tracing:
@@ -375,38 +384,47 @@ class KnowledgeBaseBuilder:
                     tracing.add("scoped", scoped - before)
 
             with _obs.span("pipeline.merge"):
-                fact_store = candidates_to_store(
+                facts = candidates_to_store(
                     candidates, self.config.min_confidence
                 )
-                report.merged_facts = len(fact_store)
+                report.merged_facts = len(facts)
                 if self.config.keep_merged_store:
-                    report.merged_store = fact_store.copy()
+                    report.merged_store = TripleStore(facts)
 
             # 4. Consistency reasoning against the harvested + schema
             #    taxonomy.
             if self.config.use_consistency:
                 with _obs.span("pipeline.consistency") as tracing:
-                    taxonomy = Taxonomy(_taxonomy_view(kb, self.wiki))
+                    with _obs.span("pipeline.consistency.taxonomy"):
+                        taxonomy = Taxonomy(
+                            chain(schema, type_triples, _bridged_types(self.wiki))
+                        )
                     reasoner = ConsistencyReasoner(
                         taxonomy, component_cache=self.component_cache
                     )
-                    fact_store, report.consistency = reasoner.clean(fact_store)
+                    facts, report.consistency = reasoner.clean(facts)
                     tracing.add("accepted", report.consistency.accepted)
                     tracing.add("rejected", report.consistency.rejected)
                     tracing.add("components", report.consistency.components)
-            report.accepted_facts = len(fact_store)
-            kb.merge(fact_store)
+            report.accepted_facts = len(facts)
 
             # 5. Multilingual labels.
+            labels: list[Triple] = []
             if self.config.use_multilingual:
                 with _obs.span("pipeline.multilingual") as tracing:
                     labels = harvest_labels(self.wiki)
                     report.label_triples = len(labels)
                     tracing.add("labels", report.label_triples)
-                    kb.merge(labels)
             with _obs.span("pipeline.labels"):
-                for title, page in self.wiki.pages.items():
-                    kb.add_fact(page.entity, ns.PREF_LABEL, _literal(title))
+                pref_labels = [
+                    Triple(page.entity, ns.PREF_LABEL, _literal(title))
+                    for title, page in self.wiki.pages.items()
+                ]
+
+            with _obs.span("pipeline.assemble"):
+                kb = TripleStore(
+                    chain(schema, type_triples, facts, labels, pref_labels)
+                )
             building.add("triples", len(kb))
         return kb, report
 
@@ -432,8 +450,8 @@ class KnowledgeBaseBuilder:
         return [candidate for batch in batches for candidate in batch]
 
 
-def _taxonomy_view(kb: TripleStore, wiki: Wiki) -> TripleStore:
-    """Schema plus a coarse type assignment for consistency checking.
+def _bridged_types(wiki: Wiki) -> list[Triple]:
+    """A coarse ``cls:`` type assignment for consistency checking.
 
     Harvested wcat/wordnet types do not line up with the schema's ``cls:``
     domain/range classes by themselves; the bridge is the category-class
@@ -449,7 +467,7 @@ def _taxonomy_view(kb: TripleStore, wiki: Wiki) -> TripleStore:
     }
     noun_to_class["person"] = ws.PERSON
     noun_to_class["product"] = ws.PRODUCT
-    view = kb.copy()
+    bridged = []
     for page in wiki.pages.values():
         for category in page.categories:
             decision = classify_category(category.name)
@@ -457,8 +475,8 @@ def _taxonomy_view(kb: TripleStore, wiki: Wiki) -> TripleStore:
                 continue
             mapped = noun_to_class.get(decision.head_lemma)
             if mapped is not None:
-                view.add(Triple(page.entity, ns.TYPE, mapped))
-    return view
+                bridged.append(Triple(page.entity, ns.TYPE, mapped))
+    return bridged
 
 
 def _literal(text: str):

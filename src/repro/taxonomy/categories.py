@@ -17,6 +17,7 @@ heuristics can be toggled for the E1 ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .headparser import ParsedLabel, parse_label
@@ -49,7 +50,19 @@ def classify_category(
     With ``use_plural_heuristic`` off, every category is taken as
     conceptual (the naive baseline E1 compares against).  With
     ``use_stoplist`` off, administrative plural heads leak through.
+    Decisions are immutable and memoized (a fixed-size LRU), so a label
+    classified once — by taxonomy integration, say — costs a lookup the
+    next time.
     """
+    return _classify(label, use_plural_heuristic, use_stoplist)
+
+
+@lru_cache(maxsize=4096)
+def _classify(
+    label: str, use_plural_heuristic: bool, use_stoplist: bool
+) -> CategoryDecision:
+    """:func:`classify_category` with positional arguments only, so every
+    call form shares one cache entry."""
     parsed = parse_label(label)
     if not use_plural_heuristic:
         return CategoryDecision(label, True, parsed.head_lemma, parsed, "baseline:all")

@@ -3,9 +3,11 @@
 For every page, each conceptual category becomes a fine-grained class
 (``wcat:Arvandian_scientists``); the category's head lemma is anchored to
 its most frequent WordNet sense (``wn:scientist.n.01``), and the synset's
-hypernym chain supplies the upper taxonomy.  The output is an ordinary
-triple store of ``rdf:type`` / ``rdfs:subClassOf`` facts plus a coverage
-report — the data behind experiment E1's integration rows.
+hypernym chain supplies the upper taxonomy.  The output is the
+``rdf:type`` / ``rdfs:subClassOf`` facts — a canonical triple list
+(:func:`integration_triples`, what the pipeline consumes) or an ordinary
+triple store (:func:`integrate`) — plus a coverage report, the data behind
+experiment E1's integration rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..kb import Entity, Triple, TripleStore, ns
+from ..kb import Entity, Triple, TripleStore, canonical_triples, ns
 from ..corpus.wiki import Wiki
 from ..world import schema as ws
 from ..world.names import identifier_from_name
@@ -70,14 +72,16 @@ EXPECTED_SYNSET: dict[Entity, str] = {
 }
 
 
-def integrate(
+def integration_triples(
     wiki: Wiki,
     wordnet: MiniWordNet = WORDNET,
     use_plural_heuristic: bool = True,
     use_stoplist: bool = True,
-) -> tuple[TripleStore, IntegrationReport]:
-    """Build the category-over-WordNet taxonomy for an encyclopedia."""
-    store = TripleStore()
+) -> tuple[list[Triple], IntegrationReport]:
+    """The category-over-WordNet taxonomy for an encyclopedia, as
+    ``rdf:type`` / ``rdfs:subClassOf`` triples in canonical (s, p, o) key
+    order, plus the coverage report."""
+    triples: list[Triple] = []
     report = IntegrationReport()
     linked_synsets: set[str] = set()
     for page in wiki.pages.values():
@@ -94,14 +98,16 @@ def integrate(
                 continue
             report.conceptual_categories += 1
             fine_class = category_class(category.name)
-            store.add(Triple(page.entity, ns.TYPE, fine_class))
+            triples.append(Triple(page.entity, ns.TYPE, fine_class))
             typed = True
             synset = wordnet.first_synset(decision.head_lemma)
             if synset is None:
                 report.unanchored_heads[decision.head_lemma] += 1
                 continue
             report.anchored_heads[decision.head_lemma] += 1
-            store.add(Triple(fine_class, ns.SUBCLASS_OF, wordnet_class(synset.id)))
+            triples.append(
+                Triple(fine_class, ns.SUBCLASS_OF, wordnet_class(synset.id))
+            )
             linked_synsets.add(synset.id)
         if typed:
             report.typed_entities += 1
@@ -109,8 +115,21 @@ def integrate(
     for synset_id in sorted(linked_synsets):
         current = synset_id
         for hypernym in wordnet.hypernym_closure(synset_id):
-            store.add(
+            triples.append(
                 Triple(wordnet_class(current), ns.SUBCLASS_OF, wordnet_class(hypernym.id))
             )
             current = hypernym.id
-    return store, report
+    return canonical_triples(triples), report
+
+
+def integrate(
+    wiki: Wiki,
+    wordnet: MiniWordNet = WORDNET,
+    use_plural_heuristic: bool = True,
+    use_stoplist: bool = True,
+) -> tuple[TripleStore, IntegrationReport]:
+    """A store of :func:`integration_triples`, plus the coverage report."""
+    triples, report = integration_triples(
+        wiki, wordnet, use_plural_heuristic, use_stoplist
+    )
+    return TripleStore(triples), report

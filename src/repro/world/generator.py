@@ -238,7 +238,7 @@ def generate_world(config: Optional[WorldConfig] = None) -> World:
     rng = random.Random(config.seed)
     pool = NamePool(config.seed + 1, config.ambiguity)
     world = World(config=config)
-    world.store.merge(ws.schema_store())
+    world.store.add_all(ws.SCHEMA_TRIPLES)
 
     _generate_geography(world, config, rng, pool)
     _generate_organizations(world, config, rng, pool)

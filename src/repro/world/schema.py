@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kb import Entity, Literal, Relation, Triple, TripleStore, ns
+from ..kb import Entity, Literal, Relation, Triple, TripleStore, canonical_triples, ns
 
 _TRUE = Literal("true")
 
@@ -208,27 +208,40 @@ SPEC_BY_RELATION: dict[Relation, RelationSpec] = {
 }
 
 
+def _schema_triples() -> list[Triple]:
+    """Every class-tree and relation-signature triple, in declaration order."""
+    triples = [
+        Triple(child, ns.SUBCLASS_OF, parent)
+        for child, parent in CLASS_TREE.items()
+    ]
+    for spec in RELATION_SPECS:
+        triples.append(Triple(spec.relation, ns.DOMAIN, spec.domain))
+        triples.append(Triple(spec.relation, ns.RANGE, spec.range))
+        if spec.functional:
+            triples.append(Triple(spec.relation, ns.FUNCTIONAL, _TRUE))
+    for a, b in DISJOINT_CLASSES:
+        triples.append(Triple(a, ns.DISJOINT_CLASS_WITH, b))
+    for r1, r2 in DISJOINT_RELATIONS:
+        triples.append(Triple(r1, ns.DISJOINT_WITH, r2))
+    triples.extend([
+        Triple(BIRTH_YEAR, ns.DOMAIN, PERSON),
+        Triple(BIRTH_YEAR, ns.FUNCTIONAL, _TRUE),
+        Triple(DEATH_YEAR, ns.DOMAIN, PERSON),
+        Triple(DEATH_YEAR, ns.FUNCTIONAL, _TRUE),
+        Triple(FOUNDING_YEAR, ns.DOMAIN, COMPANY),
+        Triple(FOUNDING_YEAR, ns.FUNCTIONAL, _TRUE),
+        Triple(POPULATION, ns.DOMAIN, CITY),
+        Triple(RELEASE_YEAR, ns.DOMAIN, PRODUCT),
+        Triple(RELEASE_YEAR, ns.FUNCTIONAL, _TRUE),
+    ])
+    return triples
+
+
+#: The schema as immutable triples in canonical (s, p, o) key order, built
+#: once per process: the pipeline's schema stage and every schema store.
+SCHEMA_TRIPLES: tuple[Triple, ...] = tuple(canonical_triples(_schema_triples()))
+
+
 def schema_store() -> TripleStore:
     """A store containing all class-tree and relation-signature triples."""
-    store = TripleStore()
-    for child, parent in CLASS_TREE.items():
-        store.add(Triple(child, ns.SUBCLASS_OF, parent))
-    for spec in RELATION_SPECS:
-        store.add(Triple(spec.relation, ns.DOMAIN, spec.domain))
-        store.add(Triple(spec.relation, ns.RANGE, spec.range))
-        if spec.functional:
-            store.add_fact(spec.relation, ns.FUNCTIONAL, _TRUE)
-    for a, b in DISJOINT_CLASSES:
-        store.add(Triple(a, ns.DISJOINT_CLASS_WITH, b))
-    for r1, r2 in DISJOINT_RELATIONS:
-        store.add(Triple(r1, ns.DISJOINT_WITH, r2))
-    store.add(Triple(BIRTH_YEAR, ns.DOMAIN, PERSON))
-    store.add_fact(BIRTH_YEAR, ns.FUNCTIONAL, _TRUE)
-    store.add(Triple(DEATH_YEAR, ns.DOMAIN, PERSON))
-    store.add_fact(DEATH_YEAR, ns.FUNCTIONAL, _TRUE)
-    store.add(Triple(FOUNDING_YEAR, ns.DOMAIN, COMPANY))
-    store.add_fact(FOUNDING_YEAR, ns.FUNCTIONAL, _TRUE)
-    store.add(Triple(POPULATION, ns.DOMAIN, CITY))
-    store.add(Triple(RELEASE_YEAR, ns.DOMAIN, PRODUCT))
-    store.add_fact(RELEASE_YEAR, ns.FUNCTIONAL, _TRUE)
-    return store
+    return TripleStore(SCHEMA_TRIPLES)

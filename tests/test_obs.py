@@ -372,3 +372,23 @@ class TestInstrumentedComponents:
             == counters["maxsat.components"]
             == report.consistency.components
         )
+
+    def test_build_names_its_residue(self):
+        """The build's bookkeeping is attributed to named spans: the schema
+        stage, the consistency taxonomy, the prefLabel loop and the single
+        final store fill."""
+        from repro.corpus import build_wiki
+        from repro.pipeline import KnowledgeBaseBuilder
+        from repro.world import WorldConfig, generate_world
+
+        world = generate_world(WorldConfig(seed=7, n_people=20))
+        wiki = build_wiki(world)
+        obs.enable()
+        KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        stages = {entry["stage"] for entry in obs.stage_breakdown()}
+        assert {
+            "pipeline.build/pipeline.schema",
+            "pipeline.build/pipeline.consistency/pipeline.consistency.taxonomy",
+            "pipeline.build/pipeline.labels",
+            "pipeline.build/pipeline.assemble",
+        } <= stages

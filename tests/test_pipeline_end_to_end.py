@@ -212,6 +212,115 @@ class TestBuildDeterminismUnderTracing:
         } <= names
 
 
+def _insertion_digest(kb) -> str:
+    """A digest of the KB in insertion order (which decides ``match``
+    order), unlike ``canonical_kb_text``, which sorts."""
+    import hashlib
+
+    return hashlib.blake2b(
+        repr(list(kb)).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def world_seed7():
+    from repro.corpus import build_wiki
+    from repro.world import WorldConfig, generate_world
+
+    world = generate_world(WorldConfig(seed=7, n_people=40))
+    return world, build_wiki(world)
+
+
+class TestOneStoreBuild:
+    """A build fills exactly one indexed store, the KB, in a pinned order.
+
+    The digests were recorded from the multi-store pipeline this one
+    replaced: stage lists in canonical order, assembled with one
+    ``add_all``, must reproduce its insertion order, content and epoch.
+    """
+
+    #: input -> (insertion-order digest, epoch, triples)
+    PINNED = {
+        "seed7-people40": (
+            "7a520e2753af246bca95f44ef4353db3",
+            "46d62b4f9b18940af7aa893fbdc295a9",
+            1365,
+        ),
+        "adversarial_noise": (
+            "c3ac100308a53f1105a8752dae2565f8",
+            "af0354a156d52741998f27bd694e89b4",
+            1474,
+        ),
+    }
+
+    @staticmethod
+    def _inputs(name, world_seed7):
+        if name == "adversarial_noise":
+            from repro.world.scenarios import build_scenario
+
+            bundle = build_scenario(name)
+            return bundle.wiki, bundle.world.aliases
+        world, wiki = world_seed7
+        return wiki, world.aliases
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_insertion_order_is_pinned(self, name, world_seed7):
+        wiki, aliases = self._inputs(name, world_seed7)
+        kb, __ = KnowledgeBaseBuilder(wiki, aliases=aliases).build()
+        assert (_insertion_digest(kb), kb.epoch, len(kb)) == self.PINNED[name]
+        assert kb.version == len(kb)  # every add was new: no replacements
+
+    @pytest.mark.parametrize("keep_merged_store, stores", [(False, 1), (True, 2)])
+    def test_build_constructs_one_store(
+        self, monkeypatch, world_seed7, keep_merged_store, stores
+    ):
+        from repro.kb import TripleStore
+
+        world, wiki = world_seed7
+        builder = KnowledgeBaseBuilder(
+            wiki,
+            aliases=world.aliases,
+            config=BuildConfig(keep_merged_store=keep_merged_store),
+        )
+        constructed = []
+        original = TripleStore.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TripleStore, "__init__", counting_init)
+        kb, report = builder.build()
+        assert len(constructed) == stores
+        assert constructed[-1] is kb
+        if keep_merged_store:
+            assert constructed[0] is report.merged_store
+            assert len(report.merged_store) == report.merged_facts
+
+    def test_store_adds_are_the_triples_offered_to_the_kb(self, world_seed7):
+        from repro import obs
+
+        world, wiki = world_seed7
+        obs.reset()
+        obs.enable()
+        try:
+            kb, report = KnowledgeBaseBuilder(
+                wiki, aliases=world.aliases
+            ).build()
+            adds = obs.report_json()["counters"]["kb.store.add"]
+        finally:
+            obs.disable()
+            obs.reset()
+        offered = (
+            len(ws.SCHEMA_TRIPLES)
+            + report.type_triples
+            + report.accepted_facts
+            + report.label_triples
+            + report.pages  # one prefLabel per page
+        )
+        assert len(kb) <= adds <= offered
+
+
 class TestCrossProcessDeterminism:
     """Two fresh-subprocess builds under different ``PYTHONHASHSEED`` values
     must produce byte-identical canonical KB serializations.

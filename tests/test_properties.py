@@ -303,3 +303,103 @@ class TestWorldDeterminism:
             )
 
         assert fingerprint() == fingerprint()
+
+
+_classes = st.integers(0, 5).map(lambda i: Entity(f"c:{i}"))
+_members = st.integers(0, 3).map(lambda i: Entity(f"w:{i}"))
+
+
+def _reachable(start, edges):
+    """Plain BFS: every node reachable from ``start``, ``start`` excluded."""
+    seen, frontier = set(), [start]
+    while frontier:
+        node = frontier.pop()
+        for nxt in edges.get(node, ()):
+            if nxt not in seen and nxt != start:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+class TestTaxonomyMemoVsBFS:
+    """The frozen taxonomy's memoized closures equal an unmemoized BFS
+    reference on random hierarchies (cycles and self-loops included), and
+    no caller can poison a memo by mutating what it was handed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_classes, _classes), max_size=12),
+        st.lists(st.tuples(_members, _classes), max_size=10),
+        st.lists(st.tuples(_classes, _classes), max_size=4),
+        st.booleans(),
+    )
+    def test_memoized_answers_match_bfs(self, edges, types, disjoint, as_store):
+        from repro.kb import Taxonomy, ns
+
+        triples = (
+            [Triple(a, ns.SUBCLASS_OF, b) for a, b in edges]
+            + [Triple(e, ns.TYPE, c) for e, c in types]
+            + [Triple(a, ns.DISJOINT_CLASS_WITH, b) for a, b in disjoint]
+        )
+        taxonomy = Taxonomy(TripleStore(triples) if as_store else triples)
+        parents, children, direct = {}, {}, {}
+        for a, b in edges:
+            parents.setdefault(a, set()).add(b)
+            children.setdefault(b, set()).add(a)
+        for e, c in types:
+            direct.setdefault(e, set()).add(c)
+
+        def up(c):
+            return _reachable(c, parents)
+
+        def types_of(e):
+            found = set(direct.get(e, ()))
+            for c in direct.get(e, ()):
+                found |= up(c)
+            return found
+
+        def instances_of(c):
+            subs = _reachable(c, children) | {c}
+            return {e for e, cs in direct.items() if cs & subs}
+
+        def disjoint_classes(c1, c2):
+            up1, up2 = up(c1) | {c1}, up(c2) | {c2}
+            return any(
+                (a in up1 and b in up2) or (b in up1 and a in up2)
+                for a, b in disjoint
+            )
+
+        classes = [Entity(f"c:{i}") for i in range(6)]
+        members = [Entity(f"w:{i}") for i in range(4)]
+        for __ in range(2):  # the second round answers from the memos
+            for c in classes:
+                for include_self in (False, True):
+                    expected_up = up(c) | ({c} if include_self else set())
+                    expected_down = _reachable(c, children) | (
+                        {c} if include_self else set()
+                    )
+                    got_up = taxonomy.superclasses(c, include_self)
+                    got_down = taxonomy.subclasses(c, include_self)
+                    assert got_up == expected_up
+                    assert got_down == expected_down
+                    got_up.add(Entity("c:poison"))
+                    got_down.clear()
+                got_instances = taxonomy.instances_of(c)
+                assert got_instances == instances_of(c)
+                got_instances.add(Entity("w:poison"))
+                for other in classes:
+                    assert taxonomy.are_disjoint_classes(c, other) == (
+                        disjoint_classes(c, other)
+                    )
+                    assert taxonomy.is_subclass_of(c, other) == (
+                        c == other or other in up(c)
+                    )
+            for e in members:
+                got_types = taxonomy.types_of(e)
+                assert got_types == types_of(e)
+                assert taxonomy.types_of(e, transitive=False) == direct.get(
+                    e, set()
+                )
+                for c in classes:
+                    assert taxonomy.is_instance_of(e, c) == (c in types_of(e))
+                got_types.clear()

@@ -63,6 +63,19 @@ class TestCategoryClassifier:
         assert decision.conceptual
         assert decision.head_lemma == "scientist"
 
+    def test_decisions_are_memoized_in_a_bounded_cache(self):
+        from repro.taxonomy.categories import _classify
+
+        first = classify_category("Kelmarian physicists")
+        # Positional and keyword call forms share one cache entry.
+        assert classify_category(
+            "Kelmarian physicists", use_plural_heuristic=True, use_stoplist=True
+        ) is first
+        assert classify_category("Kelmarian physicists", True, True) is first
+        info = _classify.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= info.maxsize
+
     def test_topical_singular(self):
         assert not classify_category("History of Arvandia").conceptual
 
