@@ -27,11 +27,12 @@ snapshot (``--segments``); ``scenario`` lists, builds, and quality-scores
 the named stress workloads of :mod:`repro.world.scenarios` (``evaluate``
 prints one greppable ``scenario:`` telemetry line per profile and
 ``--enforce-floors`` fails the process when any pinned quality floor is
-violated — the CI-lite stress matrix); ``check-determinism`` rebuilds the KB in
-fresh subprocesses under distinct ``PYTHONHASHSEED`` values and verifies
-the canonical serializations are byte-identical (``--segments`` also
-diffs emitted segment directories file for file, ``--incremental``
-proves delta ingestion equals a one-shot rebuild byte for byte).
+violated — the CI-lite stress matrix); ``check-determinism`` rebuilds the KB
+``--runs`` times in fresh subprocesses, run ``i`` in execution mode
+``i mod 2`` (serial, process2) under ``PYTHONHASHSEED=i``, and verifies
+every run's ``.nt`` bytes and segment files equal run 0's
+(``--incremental`` also proves, per run, that delta ingestion equals a
+one-shot rebuild byte for byte).
 """
 
 from __future__ import annotations
@@ -227,8 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the build is byte-identical across processes",
     )
     determinism.add_argument(
-        "--runs", type=int, default=3,
-        help="number of fresh-subprocess builds (distinct PYTHONHASHSEED each)",
+        "--runs", type=int, default=2,
+        help="number of fresh-subprocess builds; run i uses execution mode "
+        "i mod 2 (serial, process2) under PYTHONHASHSEED=i",
     )
     determinism.add_argument("--seed", type=int, default=7)
     determinism.add_argument(
@@ -240,26 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only run the subprocess comparison, not the iteration lint",
     )
     determinism.add_argument(
-        "--cross-mode", action="store_true",
-        help="also verify serial and process-parallel builds agree byte "
-        "for byte",
-    )
-    determinism.add_argument(
-        "--fast", action="store_true",
-        help="run the cross-mode matrix in-process instead of the "
-        "subprocess builds (skips the PYTHONHASHSEED variation but "
-        "exercises every execution mode in a fraction of the time)",
-    )
-    determinism.add_argument(
-        "--segments", action="store_true",
-        help="also emit segment directories (serial and process builds) "
-        "and verify they are byte-identical file for file",
-    )
-    determinism.add_argument(
         "--incremental", action="store_true",
-        help="also verify delta ingestion (two batches + a tombstoned "
-        "retraction + compaction) is byte-identical to a one-shot "
-        "rebuild, per execution mode",
+        help="also verify, in every run, that delta ingestion (two batches "
+        "+ a tombstoned retraction + compaction) is byte-identical to a "
+        "one-shot rebuild",
     )
 
     return parser
@@ -615,7 +601,7 @@ def _command_serve(args, out) -> int:
 
 
 def _command_check_determinism(args, out) -> int:
-    from .determinism import check_determinism, lint_paths
+    from .determinism import MODES, check, lint_paths
 
     if args.runs < 2:
         print("error: --runs must be at least 2", file=out)
@@ -631,72 +617,20 @@ def _command_check_determinism(args, out) -> int:
             status = 1
         else:
             print("lint: clean", file=out)
-    if args.fast:
-        from .determinism import CROSS_MODES, check_cross_mode_fast
-
-        labels = ", ".join(mode.label for mode in CROSS_MODES)
-        print(
-            f"Fast cross-mode: building in-process once per mode "
-            f"({labels}) ...",
-            file=out,
-        )
-        fast = check_cross_mode_fast(seed=args.seed, people=args.people)
-        print(fast.describe(), file=out)
-        if not fast.ok:
-            return 1
-        return status
+    labels = ", ".join(mode for mode, __ in MODES)
+    leg = ", each with an incremental ingest" if args.incremental else ""
     print(
-        f"Building {args.runs}x (seed={args.seed}, people={args.people}) "
-        "under distinct PYTHONHASHSEED values ...",
+        f"Building {args.runs}x (seed={args.seed}, people={args.people}), "
+        f"cycling modes ({labels}) under distinct PYTHONHASHSEED "
+        f"values{leg} ...",
         file=out,
     )
-    report = check_determinism(
-        runs=args.runs, seed=args.seed, people=args.people
+    report = check(
+        seed=args.seed, people=args.people, runs=args.runs,
+        incremental=args.incremental,
     )
     print(report.describe(), file=out)
-    if not report.ok:
-        return 1
-    if args.cross_mode:
-        from .determinism import CROSS_MODES, check_cross_mode
-
-        labels = ", ".join(mode.label for mode in CROSS_MODES)
-        print(f"Cross-mode: building once per mode ({labels}) ...", file=out)
-        cross = check_cross_mode(seed=args.seed, people=args.people)
-        print(cross.describe(), file=out)
-        if not cross.ok:
-            return 1
-    if args.segments:
-        from .determinism import SEGMENT_MODES, check_segment_determinism
-
-        labels = ", ".join(mode.label for mode in SEGMENT_MODES)
-        print(
-            f"Segments: building once per mode ({labels}) and diffing "
-            "the emitted files ...",
-            file=out,
-        )
-        segment_report = check_segment_determinism(
-            seed=args.seed, people=args.people
-        )
-        print(segment_report.describe(), file=out)
-        if not segment_report.ok:
-            return 1
-    if args.incremental:
-        from .determinism import SEGMENT_MODES, check_incremental_determinism
-
-        labels = ", ".join(mode.label for mode in SEGMENT_MODES)
-        print(
-            f"Incremental: per mode ({labels}), ingesting two batches "
-            "(with a tombstoned retraction), compacting, and diffing "
-            "against a one-shot rebuild ...",
-            file=out,
-        )
-        incremental_report = check_incremental_determinism(
-            seed=args.seed, people=args.people
-        )
-        print(incremental_report.describe(), file=out)
-        if not incremental_report.ok:
-            return 1
-    return status
+    return status if report.ok else 1
 
 
 def __path_of_package() -> str:

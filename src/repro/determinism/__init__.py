@@ -1,31 +1,24 @@
 """Cross-process determinism: stable hashing, a build harness, and a lint.
 
 The toolkit's contract is that a build is a pure function of its seed —
-in every process, under every ``PYTHONHASHSEED``.  This package holds the
-three tools that keep that contract honest:
+in every process, under every ``PYTHONHASHSEED``, in every execution
+mode.  This package holds the three tools that keep that contract honest:
 
 * :mod:`repro.determinism.stable` — ``stable_hash``/``stable_str_key`` and
   the canonical-iteration / canonical-serialization helpers;
-* :mod:`repro.determinism.harness` — N fresh-subprocess builds under
-  distinct hash seeds, byte-compared (``repro check-determinism``);
+* :mod:`repro.determinism.harness` — :func:`check`, the one runner: N
+  fresh-subprocess builds, run ``i`` in mode ``MODES[i % len(MODES)]``
+  under ``PYTHONHASHSEED=i``, whose ``.nt`` bytes and segment files are
+  compared with run 0's (``repro check-determinism``);
 * :mod:`repro.determinism.lint` — the AST pass that flags hash-order-
   dependent iteration (``tools/lint_determinism.py``).
 """
 
 from .harness import (
-    CROSS_MODES,
-    SEGMENT_MODES,
-    BuildMode,
-    CrossModeReport,
+    MODES,
     DeterminismReport,
     Divergence,
-    IncrementalDeterminismReport,
-    SegmentDeterminismReport,
-    check_cross_mode,
-    check_cross_mode_fast,
-    check_determinism,
-    check_incremental_determinism,
-    check_segment_determinism,
+    check,
     first_divergence,
     stage_of_line,
 )
@@ -40,22 +33,13 @@ from .stable import (
 )
 
 __all__ = [
-    "CROSS_MODES",
-    "SEGMENT_MODES",
-    "BuildMode",
-    "CrossModeReport",
+    "MODES",
     "DeterminismReport",
     "Divergence",
-    "IncrementalDeterminismReport",
-    "SegmentDeterminismReport",
     "Finding",
     "canonical_kb_lines",
     "canonical_kb_text",
-    "check_cross_mode",
-    "check_cross_mode_fast",
-    "check_determinism",
-    "check_incremental_determinism",
-    "check_segment_determinism",
+    "check",
     "first_divergence",
     "lint_file",
     "lint_paths",

@@ -967,10 +967,11 @@ class SegmentStore:
 def diff_segment_dirs(left: str, right: str) -> list[str]:
     """File-level differences between two segment directories.
 
-    Returns human-readable difference lines (empty = byte-identical KBs):
-    manifest divergence first, then per-file size/checksum mismatches and
-    files present on only one side.  This is what ``repro
-    check-determinism --segments`` prints when two builds disagree.
+    Returns human-readable difference lines (empty = byte-identical KBs),
+    in file-name order — so the manifest comes first: per-file sha256
+    mismatches and files present on only one side.  Every ``repro
+    check-determinism`` run prints these, prefixed with the run, when its
+    segment files differ from run 0's.
     """
     differences: list[str] = []
 

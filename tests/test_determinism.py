@@ -315,37 +315,38 @@ class TestLint:
 
 
 class TestCrossModeReporting:
-    def test_default_mode_matrix_covers_every_strategy(self):
-        from repro.determinism import CROSS_MODES, SEGMENT_MODES
+    def test_too_few_modes_rejected(self, monkeypatch):
+        import io
 
-        assert [mode.label for mode in CROSS_MODES] == ["serial", "process2"]
-        by_label = {mode.label: mode for mode in CROSS_MODES}
-        assert by_label["serial"].workers == 0
-        # The pooled mode's workers read pages from the corpus file.
-        assert by_label["process2"].workers == 2
-        assert SEGMENT_MODES == CROSS_MODES
+        from repro.cli import main
+        from repro.determinism import MODES, check, harness
 
-    def test_report_describe_ok_and_divergent(self):
-        from repro.determinism import CrossModeReport, Divergence
+        calls = []
 
-        ok = CrossModeReport(ok=True, modes=["serial", "process2"], triples=10)
-        assert "cross-mode deterministic" in ok.describe()
-        assert "serial, process2" in ok.describe()
-        bad = CrossModeReport(
-            ok=False,
-            modes=["serial", "process2"],
-            diverging_mode="process2",
-            divergence=Divergence(0, 1, "line a", "line b", "stage"),
-        )
-        text = bad.describe()
-        assert "NOT cross-mode deterministic" in text
-        assert "process2" in text
+        def in_process(argv, hash_seed):
+            calls.append((hash_seed, list(argv)))
+            assert main(argv, out=io.StringIO()) == 0
 
-    def test_too_few_modes_rejected(self):
-        from repro.determinism import BuildMode, check_cross_mode
-
-        with pytest.raises(ValueError):
-            check_cross_mode(modes=[BuildMode("serial")])
+        monkeypatch.setattr(harness, "_run_repro", in_process)
+        # One run covers one mode only: the matrix is refused before any
+        # build starts.
+        for runs in (1, 0):
+            with pytest.raises(ValueError):
+                check(people=20, runs=runs)
+        assert calls == []
+        # The smallest accepted matrix covers every mode once, each under
+        # its own hash seed.
+        report = check(people=20, runs=len(MODES))
+        assert report.ok, report.describe()
+        assert report.runs == [
+            f"{mode}@{index}" for index, (mode, __) in enumerate(MODES)
+        ]
+        assert [seed for seed, __ in calls] == list(range(len(MODES)))
+        for (__, argv), (__, workers) in zip(calls, MODES):
+            if workers:
+                assert argv[argv.index("--workers") + 1] == str(workers)
+            else:
+                assert "--workers" not in argv
 
 
 class TestHarnessReporting:
@@ -377,14 +378,209 @@ class TestHarnessReporting:
         assert stage_of_line(
             '<world:A> <<rdfs:label>> "Ada"@de . # conf=0.95 src=Ada'
         ) == "pipeline.multilingual"
+        assert stage_of_line(
+            '<world:A> <<rdfs:prefLabel>> "Ada" .'
+        ) == "pipeline.labels"
+        assert stage_of_line(
+            "<<rel:bornIn>> <<rdfs:domain>> <cls:person> ."
+        ) == "pipeline.schema"
+        assert stage_of_line(
+            "<cls:city> <<rdfs:subClassOf>> <cls:location> ."
+        ) == "pipeline.schema"
+        assert stage_of_line(
+            "<wcat:Belcaran_writers> <<rdfs:subClassOf>> <wn:writer.n.01> ."
+        ) == "pipeline.taxonomy"
         assert stage_of_line(None) == "unknown"
 
+    def test_every_line_of_a_build_maps_to_a_traced_span(self, tmp_path):
+        import io
+
+        from repro import obs
+        from repro.cli import main
+        from repro.kb.rdfio import load
+
+        kb_path = str(tmp_path / "kb.nt")
+        buffer = io.StringIO()
+        try:
+            assert main(
+                ["build", "--seed", "7", "--people", "40", "--out", kb_path,
+                 "--trace"],
+                out=buffer,
+            ) == 0
+        finally:
+            obs.reset()
+        trace = buffer.getvalue().split("--- trace ---")[1]
+        trace = trace.split("--- metrics ---")[0]
+        spans = {
+            line.lstrip("├└│─ ").split()[0]
+            for line in trace.splitlines() if line.strip()
+        }
+        lines = canonical_kb_lines(load(kb_path))
+        stages = {stage_of_line(line) for line in lines}
+        assert stages <= spans, stages - spans
+        assert {"pipeline.schema", "pipeline.labels"} <= stages
+
     def test_check_determinism_validates_arguments(self):
-        from repro.determinism import check_determinism
+        from repro.determinism import check
 
         with pytest.raises(ValueError):
-            check_determinism(runs=1)
-        with pytest.raises(ValueError):
-            check_determinism(runs=2, hash_seeds=[1])
-        with pytest.raises(ValueError):
-            check_determinism(runs=2, hash_seeds=[1, 1])
+            check(runs=1)
+
+
+class TestReport:
+    def test_modes_cover_every_strategy(self):
+        from repro.determinism import MODES
+
+        assert MODES == (("serial", 0), ("process2", 2))
+
+    def test_describe_ok_and_failing(self):
+        from repro.determinism import DeterminismReport
+
+        ok = DeterminismReport(
+            runs=["serial@0", "process2@1"], triples=10, files=5,
+        )
+        assert ok.ok
+        assert "deterministic: 2 runs (serial@0, process2@1)" in ok.describe()
+        assert "tombstone" not in ok.describe()
+        ok.incremental, ok.tombstones = True, 1
+        assert "1 tombstone(s) exercised" in ok.describe()
+        bad = DeterminismReport(
+            runs=["serial@0", "process2@1"],
+            failures=["run 1 (process2, PYTHONHASHSEED=1): first\nsecond"],
+        )
+        assert not bad.ok
+        text = bad.describe()
+        assert text.startswith("NOT deterministic:")
+        assert "  run 1 (process2, PYTHONHASHSEED=1): first\n  second" in text
+
+
+class TestRunnerFaultInjection:
+    """Corrupt one run's artifact; the runner must fail and name that run.
+
+    ``_run_repro`` is replaced by an in-process ``repro.cli.main`` call;
+    for run 1 (``PYTHONHASHSEED=1``) the test may rewrite the command line
+    first and damage what the build wrote afterwards.
+    """
+
+    RUN_1 = "run 1 (process2, PYTHONHASHSEED=1)"
+
+    @staticmethod
+    def _check(monkeypatch, damage_build=None, rewrite=None,
+               incremental=False):
+        import io
+
+        from repro.cli import main
+        from repro.determinism import check, harness
+
+        def fake(argv, hash_seed):
+            if hash_seed == 1 and rewrite is not None:
+                argv = rewrite(list(argv))
+            assert main(argv, out=io.StringIO()) == 0
+            if hash_seed == 1 and argv[0] == "build" and damage_build:
+                damage_build(
+                    argv[argv.index("--out") + 1],
+                    argv[argv.index("--segments") + 1],
+                )
+
+        monkeypatch.setattr(harness, "_run_repro", fake)
+        return check(seed=7, people=20, runs=2, incremental=incremental)
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(edit(lines))
+
+    def test_changed_triple_reports_its_stage(self, monkeypatch):
+        def change_infobox_triple(lines):
+            index = next(
+                i for i, line in enumerate(lines) if "src=infobox" in line
+            )
+            lines[index] = lines[index].replace("> . #", "_x> . #", 1)
+            return lines
+
+        report = self._check(
+            monkeypatch,
+            lambda kb, __: self._rewrite(kb, change_infobox_triple),
+        )
+        assert not report.ok
+        text = report.describe()
+        assert self.RUN_1 + ": .nt differs from run 0" in text
+        assert "stage: pipeline.extract.infobox" in text
+
+    def test_reordered_triples_reported_as_order(self, monkeypatch):
+        report = self._check(
+            monkeypatch,
+            lambda kb, __: self._rewrite(
+                kb, lambda lines: lines[1::-1] + lines[2:]
+            ),
+        )
+        assert report.failures == [
+            self.RUN_1 + ": same triples as run 0, different order"
+        ]
+
+    def test_flipped_segment_byte_names_the_file(self, monkeypatch):
+        import os
+
+        flipped = []
+
+        def flip_a_byte(kb, segments):
+            name = sorted(
+                n for n in os.listdir(segments) if n.startswith("seg-")
+            )[0]
+            with open(os.path.join(segments, name), "r+b") as handle:
+                data = bytearray(handle.read())
+                data[len(data) // 2] ^= 0xFF
+                handle.seek(0)
+                handle.write(data)
+            flipped.append(name)
+
+        report = self._check(monkeypatch, flip_a_byte)
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith(
+            f"{self.RUN_1}: segment file {flipped[0]}: sha256"
+        )
+
+    def test_retraction_without_tombstone_fails(self, monkeypatch):
+        def drop_delta_retraction(argv):
+            if "--retract" in argv and "--start" in argv:
+                at = argv.index("--retract")
+                return argv[:at] + argv[at + 4:]
+            return argv
+
+        report = self._check(
+            monkeypatch, rewrite=drop_delta_retraction, incremental=True
+        )
+        assert (
+            self.RUN_1 + ": the retraction delta produced no tombstone record"
+        ) in report.failures
+
+
+class TestCheckDeterminismCommand:
+    def test_default_matrix_passes_with_one_summary_line(self):
+        import io
+
+        from repro.cli import main
+
+        buffer = io.StringIO()
+        status = main(
+            ["check-determinism", "--runs", "2", "--people", "20",
+             "--skip-lint"],
+            out=buffer,
+        )
+        assert status == 0, buffer.getvalue()
+        summaries = [
+            line for line in buffer.getvalue().splitlines()
+            if line.startswith("deterministic:")
+        ]
+        assert len(summaries) == 1
+        assert "serial@0" in summaries[0] and "process2@1" in summaries[0]
+
+    @pytest.mark.parametrize("flag", ["--cross-mode", "--segments", "--fast"])
+    def test_removed_flags_are_rejected(self, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-determinism", flag])
+        assert exit_info.value.code == 2

@@ -2,8 +2,9 @@
 
 Covers the byte-pinned file format, the snapshot read path against the
 in-memory store as an oracle, bloom-filter behavior, LSM newest-wins
-semantics, compaction, and the directory differ that
-``repro check-determinism`` uses to compare KBs as files.
+semantics, compaction, and the directory differ that every
+``repro check-determinism`` run uses to compare its segment files with
+run 0's.
 """
 
 import json

@@ -4,9 +4,10 @@ The pipeline's contract after the order-dependence fixes is that serial
 and process-pool builds of the same wiki produce *byte-identical*
 canonical KBs and the same report counters.
 These tests run the full matrix in-process (the subprocess variant is
-``repro check-determinism --cross-mode``), plus the supporting
-regressions: order-independent candidate merging, picklable payloads,
-single-element alias lists, and worker telemetry completeness.
+``repro check-determinism``, whose runs alternate serial and process2),
+plus the supporting regressions: order-independent candidate merging,
+picklable payloads, single-element alias lists, and worker telemetry
+completeness.
 """
 
 from __future__ import annotations

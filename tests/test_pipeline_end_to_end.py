@@ -323,20 +323,19 @@ class TestOneStoreBuild:
 
 class TestCrossProcessDeterminism:
     """Two fresh-subprocess builds under different ``PYTHONHASHSEED`` values
-    must produce byte-identical canonical KB serializations.
+    (serial, then a process pool) must write byte-identical ``.nt`` files
+    and segment files.
 
     This is the one determinism property an in-process test cannot check
     (the hash salt is fixed per process); it guards the contract behind
-    ``repro check-determinism`` and the serial-vs-parallel comparisons the
-    ROADMAP's parallel-build work depends on.
+    ``repro check-determinism``.
     """
 
     def test_distinct_hash_seeds_build_identical_kbs(self):
-        from repro.determinism import check_determinism
+        from repro.determinism import check
 
-        report = check_determinism(
-            runs=2, seed=7, people=25, hash_seeds=[0, 1]
-        )
+        report = check(seed=7, people=25, runs=2)
         assert report.ok, report.describe()
+        assert report.runs == ["serial@0", "process2@1"]
         assert report.triples > 500
 
