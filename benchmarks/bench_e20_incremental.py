@@ -6,15 +6,14 @@ batches of changed pages arrive and the question is how much cheaper a
 delta ingest is than rebuilding the world from scratch.
 
 * **delta vs full** — for 1% and 10% changed-page batches, time the
-  delta ingest (re-extract only stale pages, replay untouched reasoning
-  components from the cache, flush one tombstoned delta generation,
-  compact) against a one-shot rebuild of the same final corpus, with the
+  delta ingest (re-extract only stale pages, re-solve the consistency
+  components, flush one tombstoned delta generation, compact) against a one-shot rebuild of the same final corpus, with the
   acceptance invariant asserted per row: the compacted incremental
   directory is byte-identical to the one-shot directory
   (``diff_segment_dirs == []``);
 * **no-op floor** — the benchmark loop re-ingests one unchanged page,
   measuring the fixed cost of the incremental machinery itself
-  (re-extraction of the batch page, cache replay, empty-delta detection).
+  (re-extraction of the batch page, reasoning, empty-delta detection).
 
 ``REPRO_E20_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -121,7 +120,6 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
             round(full_s, 3),
             round(full_s / delta_s, 1),
             report.reextracted_pages,
-            report.cached_components,
             "yes",
         ])
 
@@ -129,7 +127,7 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
         f"E20: delta ingest vs full rebuild ({len(titles)} pages, "
         f"{seeded.triples} triples)",
         ["delta", "pages", "delta s", "full s", "speedup x",
-         "re-extracted", "cached comps", "byte-identical"],
+         "re-extracted", "byte-identical"],
         rows,
     )
     benchmark.extra_info["pages"] = len(titles)

@@ -357,11 +357,7 @@ def _command_ingest(args, out) -> int:
         f"cached_pages={report.cached_pages}",
         file=out,
     )
-    print(
-        f"reasoning: components={report.components} "
-        f"cached_components={report.cached_components}",
-        file=out,
-    )
+    print(f"reasoning: components={report.components}", file=out)
     print(
         f"delta: segment={report.segment or '-'} added={report.added} "
         f"tombstones={report.tombstones} retracted={report.retracted} "

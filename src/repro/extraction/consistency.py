@@ -28,7 +28,7 @@ from typing import Iterable
 
 from ..kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from ..obs import core as _obs
-from ..reasoning.decompose import ComponentCache, decompose, solve_decomposed
+from ..reasoning.decompose import decompose, solve_decomposed
 from ..reasoning.maxsat import WeightedMaxSat
 
 #: A fact variable: the (s, p, o) key.
@@ -50,10 +50,6 @@ class ConsistencyReport:
     components: int = 0
     largest_component: int = 0
     trivial_vars: int = 0
-    #: Components replayed from a ComponentCache instead of re-solved
-    #: (the incremental build's component-scoped re-reasoning; 0 when no
-    #: cache was supplied).
-    cached_components: int = 0
 
 
 class ConsistencyReasoner:
@@ -66,18 +62,12 @@ class ConsistencyReasoner:
         use_types: bool = True,
         use_disjointness: bool = True,
         min_confidence_weight: float = 0.05,
-        component_cache: "ComponentCache | None" = None,
     ) -> None:
         self.taxonomy = taxonomy
         self.use_functionality = use_functionality
         self.use_types = use_types
         self.use_disjointness = use_disjointness
         self.min_confidence_weight = min_confidence_weight
-        # Optional content-addressed solve cache: identical components
-        # replay their stored outcome instead of searching again, which is
-        # what lets an incremental build re-solve only the components its
-        # delta touched.  Results are byte-identical either way.
-        self.component_cache = component_cache
 
     def ground(
         self, candidates: Iterable[Triple]
@@ -133,19 +123,9 @@ class ConsistencyReasoner:
                 report.components = len(decomposition.components)
                 report.largest_component = decomposition.largest_component
                 report.trivial_vars = len(decomposition.trivial)
-                hits_before = (
-                    self.component_cache.hits if self.component_cache else 0
-                )
                 result = solve_decomposed(
-                    problem,
-                    seed=seed,
-                    decomposition=decomposition,
-                    cache=self.component_cache,
+                    problem, seed=seed, decomposition=decomposition
                 )
-                if self.component_cache is not None:
-                    report.cached_components = (
-                        self.component_cache.hits - hits_before
-                    )
                 solving.add("components", report.components)
                 solving.add("largest_component", report.largest_component)
                 solving.add("trivial_vars", report.trivial_vars)

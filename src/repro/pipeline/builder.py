@@ -225,17 +225,10 @@ class KnowledgeBaseBuilder:
         wiki: Wiki,
         aliases: Optional[dict[Entity, list[str]]] = None,
         config: Optional[BuildConfig] = None,
-        component_cache=None,
     ) -> None:
         self.wiki = wiki
         self.aliases = aliases
         self.config = config if config is not None else BuildConfig()
-        # Optional repro.reasoning.decompose.ComponentCache: consistency
-        # components whose content is unchanged replay their stored MaxSat
-        # outcome instead of re-solving (the incremental build's
-        # component-scoped re-reasoning).  Stays in the parent process —
-        # never shipped to extraction workers.
-        self.component_cache = component_cache
         self.resolver = _build_resolver(wiki, aliases)
         self._extractor = PageExtractor(self.resolver, self.config)
         self._gazetteer = self._extractor.gazetteer
@@ -399,9 +392,7 @@ class KnowledgeBaseBuilder:
                         taxonomy = Taxonomy(
                             chain(schema, type_triples, _bridged_types(self.wiki))
                         )
-                    reasoner = ConsistencyReasoner(
-                        taxonomy, component_cache=self.component_cache
-                    )
+                    reasoner = ConsistencyReasoner(taxonomy)
                     facts, report.consistency = reasoner.clean(facts)
                     tracing.add("accepted", report.consistency.accepted)
                     tracing.add("rejected", report.consistency.rejected)

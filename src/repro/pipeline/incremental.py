@@ -15,10 +15,6 @@ pipeline into that maintenance loop:
   documents link against the full canonical entity catalogue instead of
   forking fresh entities per batch — the existing KB joins resolution as
   synthetic anchor mentions.
-* **Component-scoped re-reasoning** — consistency MaxSat components whose
-  clause content is untouched by the delta replay their stored outcome
-  from a persisted :class:`~repro.reasoning.decompose.ComponentCache`;
-  only components the new candidates actually touch are re-solved.
 * **Tombstoned deltas** — the rebuilt logical KB is diffed against the
   segment stack's current logical content; disappeared keys (retractions,
   re-resolution flips, consistency reversals) become tombstone records in
@@ -64,7 +60,6 @@ from ..kb.segments import (
 from ..kb.store import EMPTY_EPOCH, epoch_hex
 from ..nlp.tokenizer import tokenize
 from ..obs import core as _obs
-from ..reasoning.decompose import ComponentCache
 from .builder import (
     BuildConfig,
     BuildReport,
@@ -79,7 +74,7 @@ from .builder import (
 #: stale-file cleanup leaves it alone.
 STATE_NAME = "INGEST_STATE.json"
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 #: BuildConfig fields that change the *bytes* of the output KB.  They are
 #: pinned in the state file: mixing configs across ingests would silently
@@ -112,7 +107,8 @@ class IngestReport:
     reextracted_pages: int = 0
     #: Pages whose cached candidates were reused verbatim.
     cached_pages: int = 0
-    #: Consistency components replayed from the component cache.
+    #: Always 0: every component is solved fresh.  Kept only because the
+    #: benchmark's ingest counts still read it.
     cached_components: int = 0
     #: Consistency components in the full problem.
     components: int = 0
@@ -207,7 +203,6 @@ def _fresh_state(config: BuildConfig) -> dict:
         "pages": {},
         "aliases": {},
         "retracted": [],
-        "components": {},
     }
 
 
@@ -221,8 +216,7 @@ class IncrementalBuilder:
     (``INGEST_STATE.json``) holding everything needed to make the next
     delta equal to a full rebuild: the pipeline-visible page contents,
     the alias registrations (the phantom anchors), per-page cached
-    extraction candidates, the cumulative curated-retraction set, and the
-    consistency component cache.
+    extraction candidates and the cumulative curated-retraction set.
     """
 
     def __init__(
@@ -446,20 +440,13 @@ class IncrementalBuilder:
             ]
 
             # Rebuild the logical KB through the unchanged downstream
-            # stages, replaying untouched consistency components.
-            cache = ComponentCache(self.state["components"])
+            # stages.
             builder = KnowledgeBaseBuilder(
-                wiki,
-                aliases=alias_map,
-                config=self.config,
-                component_cache=cache,
+                wiki, aliases=alias_map, config=self.config
             )
             kb, report.build = builder.build(candidates=candidates)
             if report.build.consistency is not None:
                 report.components = report.build.consistency.components
-                report.cached_components = (
-                    report.build.consistency.cached_components
-                )
 
             # Curated removals: set-minus after the pipeline, so the
             # invariant stays "full rebuild minus the same retractions".
@@ -496,7 +483,6 @@ class IncrementalBuilder:
                 tracing.add("batch_pages", report.batch_pages)
                 tracing.add("reextracted", report.reextracted_pages)
                 tracing.add("cached_pages", report.cached_pages)
-                tracing.add("cached_components", report.cached_components)
                 tracing.add("added", report.added)
                 tracing.add("tombstones", report.tombstones)
                 _obs.count("pipeline.ingest.batches")

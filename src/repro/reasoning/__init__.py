@@ -11,7 +11,6 @@ from .factorgraph import (
 )
 from .decompose import (
     Component,
-    ComponentCache,
     Decomposition,
     decompose,
     solve_decomposed,
@@ -33,7 +32,6 @@ __all__ = [
     "HARD",
     "Clause",
     "Component",
-    "ComponentCache",
     "Decomposition",
     "MaxSatResult",
     "WeightedMaxSat",

@@ -19,18 +19,18 @@ in a clause) and solves them:
   variables is solved optimally by branch and bound
   (:meth:`~.maxsat.WeightedMaxSat.solve_exact`); a larger one goes to
   WalkSAT with a seed derived via :func:`repro.determinism.stable_hash` of
-  the component's canonical key — *not* of its position in any batch — and
+  the component's canonical key — *not* of its position — and
   a flip budget scaled to the component size;
 * the per-component ``(hard, soft)`` costs and assignments merge in
   sorted-canonical-key order.
 
 Because the route, seed and budget of a component depend only on its
 content, and the merge order depends only on the canonical keys, the result
-does not depend on which components a :class:`ComponentCache` replayed and
-which were solved afresh.  Among equally good assignments of an exact-routed
-component, branch and bound keeps the first in its documented search order
-(variables by clause involvement, then ``repr``; True before False) — so on
-an equal-weight functional tie the ``repr``-first candidate wins.
+does not depend on how the candidates were assembled.  Among equally good
+assignments of an exact-routed component, branch and bound keeps the first
+in its documented search order (variables by clause involvement, then
+``repr``; True before False) — so on an equal-weight functional tie the
+``repr``-first candidate wins.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ FLIPS_PER_CLAUSE = 200
 #: (799 vs 269 ms).
 EXACT_MAX_VARIABLES = 16
 
-#: The route marker an exact-routed work order carries in place of the
-#: WalkSAT parameters (seed, budget, restarts, noise).
-_EXACT_ROUTE = "exact"
-
-
 @dataclass(slots=True)
 class Component:
     """One connected component of the variable-clause graph."""
@@ -76,7 +71,7 @@ class Component:
         """The component's solver seed: a stable hash of (base seed, key).
 
         Depends only on the component's content, never on its position,
-        so every solve replays the identical search trajectory.
+        so every solve repeats the identical search trajectory.
         """
         return stable_hash((base_seed, self.key))
 
@@ -189,115 +184,6 @@ def decompose(problem: WeightedMaxSat) -> Decomposition:
 # ------------------------------------------------------- component solving
 
 
-class ComponentCache:
-    """A content-addressed cache of per-component solve outcomes.
-
-    Because a component's seed, flip budget, and clause payload derive
-    from its *content* only, identical content solves to an identical
-    outcome in every process — so an incremental re-reasoning pass can
-    skip every component the new candidates did not touch and replay the
-    stored outcome bit for bit.  Keys hash the full work order (canonical
-    key, clause payload, then either the exact route marker or the WalkSAT
-    seed, budget, restarts and noise — so a WalkSAT outcome is never
-    replayed into an exact-routed component); values store the
-    assignment as a boolean vector aligned with the component's canonical
-    variable order plus the exact soft/hard/flips numbers, which makes the
-    cache JSON-serializable (floats round-trip exactly through ``repr``).
-    """
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self, entries: Optional[dict[str, dict]] = None) -> None:
-        self.entries = entries if entries is not None else {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def task_key(task: "_ComponentTask") -> str:
-        """The content hash of one component work order (hex)."""
-        return f"{stable_hash(repr(task)):016x}"
-
-    def lookup(
-        self, task: "_ComponentTask", component: Component
-    ) -> Optional["_ComponentOutcome"]:
-        """The stored outcome for a work order, rebuilt against the
-        current component's variables — or None on a miss."""
-        entry = self.entries.get(self.task_key(task))
-        if entry is None or len(entry["assignment"]) != len(component.variables):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return (
-            component.key,
-            dict(zip(component.variables, entry["assignment"])),
-            entry["soft"],
-            entry["hard"],
-            entry["flips"],
-        )
-
-    def store(
-        self,
-        task: "_ComponentTask",
-        component: Component,
-        outcome: "_ComponentOutcome",
-    ) -> None:
-        """Record one solved component's outcome."""
-        __, assignment, soft, hard, flips = outcome
-        self.entries[self.task_key(task)] = {
-            "assignment": [
-                bool(assignment[variable]) for variable in component.variables
-            ],
-            "soft": soft,
-            "hard": hard,
-            "flips": flips,
-        }
-
-
-#: One component's work order: (canonical key, clause payloads,
-#: _EXACT_ROUTE) for an exact-routed component, else (canonical key, clause
-#: payloads, seed, max_flips, restarts, noise).
-_ComponentTask = tuple
-
-#: One component's outcome: (key, assignment, soft, hard, flips).
-_ComponentOutcome = tuple
-
-
-def _solve_component_batch(batch: list[_ComponentTask]) -> list[_ComponentOutcome]:
-    """Solve one batch of components, in order."""
-    outcomes: list[_ComponentOutcome] = []
-    with _obs.span("maxsat.component_batch") as tracing:
-        clause_total = 0
-        exact = 0
-        for key, clause_payload, *route in batch:
-            sub = WeightedMaxSat()
-            for literals, weight in clause_payload:
-                sub.add_clause(literals, weight)
-            clause_total += len(clause_payload)
-            if route == [_EXACT_ROUTE]:
-                result = sub.solve_exact(max_variables=EXACT_MAX_VARIABLES)
-                exact += 1
-            else:
-                seed, max_flips, restarts, noise = route
-                result = sub.solve(
-                    seed=seed, max_flips=max_flips, restarts=restarts,
-                    noise=noise,
-                )
-            outcomes.append(
-                (
-                    key,
-                    dict(result.assignment),
-                    result.soft_cost,
-                    result.hard_violations,
-                    result.flips,
-                )
-            )
-        tracing.add("components", len(batch))
-        tracing.add("clauses", clause_total)
-        tracing.add("exact", exact)
-        tracing.add("walksat", len(batch) - exact)
-    return outcomes
-
-
 def solve_decomposed(
     problem: WeightedMaxSat,
     seed: int = 0,
@@ -305,7 +191,6 @@ def solve_decomposed(
     restarts: int = 3,
     noise: float = 0.1,
     decomposition: Optional[Decomposition] = None,
-    cache: Optional[ComponentCache] = None,
 ) -> MaxSatResult:
     """Solve ``problem`` component by component, in-process.
 
@@ -315,13 +200,6 @@ def solve_decomposed(
     and costs/assignments merge in sorted-canonical-key order.  Components
     of at most :data:`EXACT_MAX_VARIABLES` variables are solved optimally
     by branch and bound; the WalkSAT parameters apply to the rest.
-
-    With a :class:`ComponentCache`, components whose content-derived work
-    order is already cached replay their stored outcome instead of
-    searching (the incremental build's component-scoped re-reasoning);
-    freshly solved components are stored back.  Cached or not, outcomes
-    merge in the same canonical component order, so the result is
-    byte-identical to an uncached solve.
     """
     if decomposition is None:
         with _obs.span("maxsat.decompose"):
@@ -336,62 +214,38 @@ def solve_decomposed(
         _obs.gauge("maxsat.largest_component", decomposition.largest_component)
 
     clauses = problem.clauses
-    tasks: list[_ComponentTask] = []
-    for component in components:
-        payload = [
-            (clauses[index].literals, clauses[index].weight)
-            for index in component.clause_indexes
-        ]
-        if component.exact:
-            tasks.append((component.key, payload, _EXACT_ROUTE))
-        else:
-            tasks.append((
-                component.key,
-                payload,
-                component.seed(seed),
-                component.flip_budget(max_flips),
-                restarts,
-                noise,
-            ))
-
-    # Split off cache replays: the cached positions are satisfied from the
-    # stored outcomes, only the remainder goes to the solver.
-    outcome_at: dict[int, _ComponentOutcome] = {}
-    pending: list[tuple[int, _ComponentTask]] = []
-    if cache is not None:
-        for position, task in enumerate(tasks):
-            hit = cache.lookup(task, components[position])
-            if hit is not None:
-                outcome_at[position] = hit
-            else:
-                pending.append((position, task))
-        if _obs.ENABLED:
-            _obs.count("maxsat.cache.hits", len(outcome_at))
-            _obs.count("maxsat.cache.misses", len(pending))
-    else:
-        pending = list(enumerate(tasks))
-
-    pending_tasks = [task for __, task in pending]
-    solved = _solve_component_batch(pending_tasks) if pending_tasks else []
-    for (position, task), outcome in zip(pending, solved):
-        outcome_at[position] = outcome
-        if cache is not None:
-            cache.store(task, components[position], outcome)
-
     assignment: dict[Hashable, bool] = {}
     soft_cost = 0.0
     hard_violations = 0
     flips = 0
-    # Outcomes merge in sorted-component-key order (the order the tasks
-    # were built in), whether they were freshly solved or replayed from
-    # the cache, so this float accumulation order is canonical for every
-    # cache state.
-    for position in range(len(components)):
-        __, component_assignment, soft, hard, component_flips = outcome_at[position]
-        assignment.update(component_assignment)
-        soft_cost += soft
-        hard_violations += hard
-        flips += component_flips
+    # Components are sorted by canonical key, so this float accumulation
+    # order is canonical too.
+    with _obs.span("maxsat.component_batch") as tracing:
+        clause_total = 0
+        exact = 0
+        for component in components:
+            sub = WeightedMaxSat()
+            for index in component.clause_indexes:
+                sub.add_clause(clauses[index].literals, clauses[index].weight)
+            clause_total += len(component.clause_indexes)
+            if component.exact:
+                result = sub.solve_exact(max_variables=EXACT_MAX_VARIABLES)
+                exact += 1
+            else:
+                result = sub.solve(
+                    seed=component.seed(seed),
+                    max_flips=component.flip_budget(max_flips),
+                    restarts=restarts,
+                    noise=noise,
+                )
+            assignment.update(result.assignment)
+            soft_cost += result.soft_cost
+            hard_violations += result.hard_violations
+            flips += result.flips
+        tracing.add("components", len(components))
+        tracing.add("clauses", clause_total)
+        tracing.add("exact", exact)
+        tracing.add("walksat", len(components) - exact)
     for variable in sorted(decomposition.trivial, key=stable_str_key):
         assignment[variable] = decomposition.trivial[variable]
     return MaxSatResult(assignment, soft_cost, hard_violations, flips)

@@ -70,10 +70,10 @@ class TestIncrementalEqualsFull:
             directory, small_wiki, small_world.aliases,
             cut=int(len(small_wiki.pages) * 0.8),
         )
-        # The delta actually exercised the caches, not a silent rebuild.
+        # The delta actually reused cached pages, not a silent rebuild.
         assert second.cached_pages > 0
         assert second.reextracted_pages < second.total_pages
-        assert second.cached_components > 0
+        assert second.components > 0
         assert first.epoch_after != first.epoch_before
         assert second.epoch_after != first.epoch_after
 
@@ -271,6 +271,30 @@ class TestBuilderStateAndServing:
             IncrementalBuilder(
                 directory, BuildConfig(use_consistency=False)
             )
+
+    def test_state_holds_no_reasoning_outcomes(self, tmp_path, small_wiki):
+        directory = str(tmp_path / "inc")
+        page = small_wiki.pages[sorted(small_wiki.pages)[0]]
+        with IncrementalBuilder(directory) as builder:
+            builder.ingest(pages=[page])
+        with open(os.path.join(directory, STATE_NAME), encoding="utf-8") as handle:
+            state = json.load(handle)
+        assert state["state_version"] == 2
+        assert "components" not in state
+
+    def test_version_one_state_rejected(self, tmp_path, small_wiki):
+        directory = str(tmp_path / "inc")
+        page = small_wiki.pages[sorted(small_wiki.pages)[0]]
+        with IncrementalBuilder(directory) as builder:
+            builder.ingest(pages=[page])
+        state_path = os.path.join(directory, STATE_NAME)
+        with open(state_path, encoding="utf-8") as handle:
+            state = json.load(handle)
+        state["state_version"] = 1
+        with open(state_path, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        with pytest.raises(ValueError, match="unsupported ingest state version"):
+            IncrementalBuilder(directory)
 
     def test_state_survives_and_is_excluded_from_diffs(
         self, tmp_path, small_world, small_wiki

@@ -2,39 +2,24 @@
 
 The contract under test: ``solve_decomposed`` reaches the same
 ``(hard_violations, soft_cost)`` key as the monolithic solver (the optimum
-of a disconnected instance is the union of component optima), decides
-constraint-free variables closed-form without search, and replays cached
-component outcomes bit for bit.
+of a disconnected instance is the union of component optima), and decides
+constraint-free variables closed-form without search.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
-import os
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.corpus import build_wiki
 from repro.kb import Entity, Relation, Taxonomy, Triple, TripleStore
-from repro.kb.segments import diff_segment_dirs, open_snapshot, write_segments
-from repro.determinism import canonical_kb_text
 from repro.extraction.consistency import ConsistencyReasoner
-from repro.pipeline import IncrementalBuilder, KnowledgeBaseBuilder
-from repro.pipeline.incremental import STATE_NAME
 from repro.reasoning import (
     HARD,
-    ComponentCache,
     WeightedMaxSat,
     decompose,
     solve_decomposed,
 )
 from repro.reasoning.decompose import EXACT_MAX_VARIABLES
-from repro.world import WorldConfig, generate_world
-
-# The package re-exports the ``decompose`` function under the module's name.
-decompose_module = importlib.import_module("repro.reasoning.decompose")
 
 
 def _two_component_problem(x0_weight: float = 0.9) -> WeightedMaxSat:
@@ -143,52 +128,6 @@ class TestSolveDecomposed:
         assert result.soft_cost == 0.0
         assert result.hard_violations == 0
 
-    def test_component_cache_replays_outcomes_bit_for_bit(self):
-        uncached = solve_decomposed(_two_component_problem(), seed=3)
-        cache = ComponentCache()
-        cold = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        warm = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        # Second pass: every non-trivial component replays from the cache.
-        assert cache.hits == 2 and cache.misses == 2
-        for result in (cold, warm):
-            assert result.assignment == uncached.assignment
-            assert repr(result.soft_cost) == repr(uncached.soft_cost)
-            assert result.hard_violations == uncached.hard_violations
-
-    def test_component_cache_entries_round_trip_through_json(self):
-        cache = ComponentCache()
-        solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        revived = ComponentCache(
-            json.loads(json.dumps(cache.entries))
-        )
-        replay = solve_decomposed(
-            _two_component_problem(), seed=3, cache=revived
-        )
-        assert revived.hits == 2 and revived.misses == 0
-        baseline = solve_decomposed(_two_component_problem(), seed=3)
-        assert replay.assignment == baseline.assignment
-        assert repr(replay.soft_cost) == repr(baseline.soft_cost)
-
-    def test_component_cache_ignores_mismatched_content(self):
-        cache = ComponentCache()
-        solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        # A changed clause weight changes component A's work order only.
-        solve_decomposed(
-            _two_component_problem(x0_weight=0.8), seed=3, cache=cache
-        )
-        assert cache.hits == 1
-        assert cache.misses == 3
-        # A WalkSAT work order carries its seed: a different seed misses.
-        above_cutoff = [0.5] * (EXACT_MAX_VARIABLES + 1)
-        for seed in (3, 4):
-            solve_decomposed(
-                _random_component(above_cutoff, [], []), seed=seed, cache=cache
-            )
-        assert cache.hits == 1
-        assert cache.misses == 5
-
-
 class TestSizeRouting:
     def test_equal_weight_tie_keeps_repr_first_candidate(self):
         tie = WeightedMaxSat()
@@ -196,44 +135,6 @@ class TestSizeRouting:
         tie.add_soft_unit("a", True, 0.9)
         tie.add_hard([("a", False), ("b", False)])
         assert solve_decomposed(tie).true_variables() == {"a"}
-
-    def test_walksat_entry_is_not_replayed_into_exact_component(
-        self, monkeypatch
-    ):
-        problem = _two_component_problem()
-        cache = ComponentCache()
-        with monkeypatch.context() as legacy:
-            # Work orders as written before size routing: every component
-            # carried WalkSAT parameters.
-            legacy.setattr(decompose_module, "EXACT_MAX_VARIABLES", 0)
-            solve_decomposed(problem, seed=3, cache=cache)
-        components = decompose(problem).components
-        legacy_keys = {
-            ComponentCache.task_key((
-                component.key,
-                [
-                    (problem.clauses[i].literals, problem.clauses[i].weight)
-                    for i in component.clause_indexes
-                ],
-                component.seed(3),
-                component.flip_budget(20_000),
-                3,
-                0.1,
-            ))
-            for component in components
-        }
-        assert set(cache.entries) == legacy_keys
-        # Poison the legacy outcomes: a replay would reject every fact.
-        for entry in cache.entries.values():
-            entry["assignment"] = [False] * len(entry["assignment"])
-            entry["soft"] = 99.0
-        cache.hits = cache.misses = 0
-
-        result = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        assert result.flips == 0
-        assert result.soft_cost == pytest.approx(_brute_force_key(problem)[1])
-
 
 # ------------------------------------------------- randomized equivalence
 
@@ -416,47 +317,3 @@ class TestCleanedKbCrossBackend:
         assert (
             report.accepted + report.rejected == report.candidates
         )
-
-
-# ------------------------------------- incremental over a pre-routing state
-
-
-class TestIncrementalOverWalksatState:
-    def test_converges_to_full_rebuild_bytes(self, tmp_path, monkeypatch):
-        world = generate_world(WorldConfig(seed=7, n_people=30))
-        wiki = build_wiki(world)
-        titles = sorted(wiki.pages)
-        cut = int(len(titles) * 0.8)
-        directory = str(tmp_path / "inc")
-        with monkeypatch.context() as legacy:
-            # A state written before size routing: every component was
-            # solved, and cached, under a WalkSAT work order.
-            legacy.setattr(decompose_module, "EXACT_MAX_VARIABLES", 0)
-            with IncrementalBuilder(directory) as builder:
-                builder.ingest(
-                    pages=[wiki.pages[t] for t in titles[:cut]],
-                    aliases=world.aliases,
-                )
-        state_path = os.path.join(directory, STATE_NAME)
-        with open(state_path, encoding="utf-8") as handle:
-            state = json.load(handle)
-        assert state["components"]
-        # Poison every legacy outcome, so any replay would change the KB.
-        for entry in state["components"].values():
-            entry["assignment"] = [not value for value in entry["assignment"]]
-        with open(state_path, "w", encoding="utf-8") as handle:
-            json.dump(state, handle)
-
-        with IncrementalBuilder(directory) as builder:
-            report = builder.ingest(
-                pages=[wiki.pages[t] for t in titles[cut:]], compact=True
-            )
-        assert report.components > 0
-        assert report.cached_components == 0
-
-        kb, __ = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
-        with open_snapshot(directory) as snapshot:
-            assert canonical_kb_text(snapshot) == canonical_kb_text(kb)
-        oneshot = str(tmp_path / "oneshot")
-        write_segments(kb, oneshot)
-        assert diff_segment_dirs(directory, oneshot) == []
