@@ -4,14 +4,11 @@ Reproduces the map-reduce scaling shape on the in-process engine: shuffle
 volume grows linearly with corpus size, per-shard load stays balanced
 (small skew), a combiner cuts shuffled records, and per-page extraction
 run as a map-reduce job builds the serial KB byte for byte while reporting
-cluster-style counters.  The parallel-extraction benchmark measures real
-wall-clock speedup and per-worker utilization of the process backend
-(speedup asserts only run on machines with enough cores).
+cluster-style counters.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -154,84 +151,10 @@ def test_e11_extraction_through_mapreduce(benchmark, bench_world, bench_wiki):
 
 
 @pytest.mark.benchmark(group="e11")
-def test_e11_parallel_extraction_speedup(benchmark, bench_world, bench_wiki):
-    """Wall-clock speedup and per-worker utilization of parallel extraction.
-
-    Times the extraction stage alone (the part the process pool
-    parallelizes; every later stage stays in the parent) for 1, 2, and 4
-    workers — the ``pipeline.extract`` span of a build, which includes the
-    pool spin-up — then reads per-worker busy time out of the merged
-    telemetry.  Utilization = total worker busy time / (workers x stage
-    wall time).
-    """
-    cores = os.cpu_count() or 1
-
-    def extract_with(workers: int) -> tuple[float, str, float]:
-        builder = KnowledgeBaseBuilder(
-            bench_wiki,
-            aliases=bench_world.aliases,
-            config=BuildConfig(workers=workers, use_consistency=False),
-        )
-        obs.reset()
-        obs.enable()
-        try:
-            kb, __ = builder.build()
-            stages = obs.stage_breakdown()
-        finally:
-            obs.disable()
-            obs.reset()
-        elapsed = next(
-            stage["total_s"]
-            for stage in stages
-            if stage["stage"].endswith("/pipeline.extract")
-        )
-        busy = sum(
-            stage["total_s"]
-            for stage in stages
-            if stage["stage"].split("/")[-1].startswith("worker[")
-        )
-        return elapsed, canonical_kb_text(kb), busy
-
-    serial_time, serial_text, __ = extract_with(1)
-    rows = [["serial", 1, round(serial_time, 3), "-", "-", "-"]]
-    speedups = {}
-    for workers in (2, 4):
-        elapsed, text, busy = extract_with(workers)
-        assert text == serial_text
-        speedup = serial_time / elapsed if elapsed else float("inf")
-        utilization = busy / (workers * elapsed) if elapsed else 0.0
-        speedups[workers] = speedup
-        rows.append(
-            [
-                f"process x{workers}",
-                workers,
-                round(elapsed, 3),
-                round(speedup, 2),
-                round(busy, 3),
-                f"{utilization:.0%}",
-            ]
-        )
-
-    benchmark(extract_with, 2)
-
-    print_table(
-        "E11c: parallel extraction (process backend), "
-        f"{len(bench_wiki.pages)} pages on {cores} cores",
-        ["execution", "workers", "seconds", "speedup", "busy s", "util"],
-        rows,
-    )
-    # Real parallelism needs real cores; on smaller machines the table is
-    # still informative but the speedup floor would only measure oversubscription.
-    if cores >= 4:
-        assert speedups[4] > 1.3
-
-
-@pytest.mark.benchmark(group="e11")
 def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wiki):
     """The per-page extractor construction cost is gone from the stage
-    breakdown (extractors are hoisted to the worker initializer), and the
-    process build and map-reduce extraction produce the serial KB's bytes
-    on the bench world."""
+    breakdown (extractors are built once per builder), and map-reduce
+    extraction produces the serial KB's bytes on the bench world."""
     config = BuildConfig(use_consistency=False)
     builder = KnowledgeBaseBuilder(
         bench_wiki, aliases=bench_world.aliases, config=config
@@ -258,12 +181,6 @@ def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wik
         rows,
     )
     reference = canonical_kb_text(kb)
-    process_kb, __ = KnowledgeBaseBuilder(
-        bench_wiki,
-        aliases=bench_world.aliases,
-        config=BuildConfig(use_consistency=False, workers=2),
-    ).build()
-    assert canonical_kb_text(process_kb) == reference, "process2"
     mapreduce_kb, __ = builder.build(
         candidates=_mapreduce_candidates(builder, 4)[0]
     )

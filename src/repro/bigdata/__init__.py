@@ -1,14 +1,10 @@
 """Big-data substrates: map-reduce, frequent sequence mining, MinHash/LSH."""
 
-from .backends import advise_worker_count, chunked, get_backend
 from .mapreduce import JobStats, MapReduce, word_count
 from .seqmining import closed_sequences, frequent_sequences
 from .minhash import MinHasher, jaccard, lsh_candidate_pairs, shingles
 
 __all__ = [
-    "advise_worker_count",
-    "chunked",
-    "get_backend",
     "JobStats",
     "MapReduce",
     "word_count",

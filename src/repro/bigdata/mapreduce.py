@@ -1,4 +1,4 @@
-"""A map-reduce engine with shuffle accounting and pluggable execution.
+"""A map-reduce engine with shuffle accounting.
 
 The tutorial repeatedly points at map-reduce computation as the big-data
 substrate of web-scale knowledge harvesting.  Real clusters are out of
@@ -6,15 +6,8 @@ scope, so this engine executes the same programming model — mapper,
 optional combiner, partitioned shuffle, reducer — deterministically, while
 *measuring* what a cluster would have to move: records and approximate
 bytes shuffled per shard.  The scaling experiment (E11) reads those
-counters instead of wall-clock network time.
-
-The map phase runs through a pluggable :mod:`~repro.bigdata.backends`
-executor: serial (the default) or a real process pool.  Chunked inputs
-keep worker dispatch coarse; shuffle and reduce stay in the parent, and
-because chunk results come back in input order the job output is
-byte-identical across backends.  With the process backend, the mapper
-(and the optional ``initializer``) must be picklable module-level
-functions.
+counters instead of wall-clock network time.  Every phase runs
+in-process, in input order.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ from typing import Callable, Generic, Iterable, Optional, TypeVar
 
 from ..determinism.stable import stable_hash
 from ..obs import core as _obs
-from .backends import ExecutionBackend, chunked
 
 I = TypeVar("I")   # input record
 K = TypeVar("K")   # intermediate key
@@ -105,38 +97,13 @@ def _approximate_size(value) -> int:
     return len(repr(value))
 
 
-# Worker-side state for backend-parallel map phases: the mapper is
-# installed once per worker by the initializer, not pickled per task.
-_WORKER_MAPPER: Optional[Callable] = None
-
-
-def _mapreduce_worker_init(mapper, user_initializer, user_initargs) -> None:
-    global _WORKER_MAPPER
-    if user_initializer is not None:
-        user_initializer(*user_initargs)
-    _WORKER_MAPPER = mapper
-
-
-def _map_chunk(records: list) -> tuple[int, list]:
-    """Apply the installed mapper to one input chunk (runs in a worker)."""
-    pairs: list = []
-    for record in records:
-        pairs.extend(_WORKER_MAPPER(record))
-    return len(records), pairs
-
-
 class MapReduce(Generic[I, K, V, R]):
-    """A map-reduce executor with deterministic sharding and backends."""
+    """A map-reduce executor with deterministic sharding."""
 
-    def __init__(
-        self,
-        shards: int = 4,
-        backend: Optional[ExecutionBackend] = None,
-    ) -> None:
+    def __init__(self, shards: int = 4) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
-        self.backend = backend
 
     def run(
         self,
@@ -144,44 +111,23 @@ class MapReduce(Generic[I, K, V, R]):
         mapper: Mapper,
         reducer: Reducer,
         combiner: Optional[Combiner] = None,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
     ) -> tuple[list[R], JobStats]:
         """Execute one job; return (reduce outputs, counters).
 
-        ``initializer(*initargs)`` runs once per map worker before any
-        record, for per-worker state the mapper needs (dictionaries,
-        gazetteers).  An empty input is a valid job: every counter is
-        zero, ``records_per_shard`` is a zero per shard, and ``skew`` is
-        1.0.
+        An empty input is a valid job: every counter is zero,
+        ``records_per_shard`` is a zero per shard, and ``skew`` is 1.0.
         """
         stats = JobStats(shards=self.shards)
         with _obs.span("mapreduce.run") as job:
 
             # Map phase: each mapper output is routed to a shard by key hash.
-            # With a parallel backend, chunks fan out to workers and their
-            # (key, value) pairs come back in input order, so shard-buffer
-            # content and order match the serial execution exactly.
             shard_buffers: list[dict[K, list[V]]] = [
                 defaultdict(list) for __ in range(self.shards)
             ]
             with _obs.span("mapreduce.map"):
-                if self.backend is not None and self.backend.workers > 1:
-                    pair_stream = self.backend.map(
-                        _map_chunk,
-                        chunked(list(inputs), self.backend.workers * 4),
-                        initializer=_mapreduce_worker_init,
-                        initargs=(mapper, initializer, initargs),
-                    )
-                else:
-                    if initializer is not None:
-                        initializer(*initargs)
-                    pair_stream = (
-                        (1, mapper(record)) for record in inputs
-                    )
-                for records, pairs in pair_stream:
-                    stats.map_input_records += records
-                    for key, value in pairs:
+                for record in inputs:
+                    stats.map_input_records += 1
+                    for key, value in mapper(record):
                         stats.map_output_records += 1
                         shard = stable_hash(repr(key)) % self.shards
                         shard_buffers[shard][key].append(value)

@@ -28,9 +28,9 @@ the named stress workloads of :mod:`repro.world.scenarios` (``evaluate``
 prints one greppable ``scenario:`` telemetry line per profile and
 ``--enforce-floors`` fails the process when any pinned quality floor is
 violated — the CI-lite stress matrix); ``check-determinism`` rebuilds the KB
-``--runs`` times in fresh subprocesses, run ``i`` in execution mode
-``i mod 2`` (serial, process2) under ``PYTHONHASHSEED=i``, and verifies
-every run's ``.nt`` bytes and segment files equal run 0's
+``--runs`` times in fresh subprocesses, run ``i`` under
+``PYTHONHASHSEED=i``, and verifies every run's ``.nt`` bytes and segment
+files equal run 0's
 (``--incremental`` also proves, per run, that delta ingestion equals a
 one-shot rebuild byte for byte).
 """
@@ -47,7 +47,7 @@ from .analytics.qa import TemplateQA
 from .corpus import build_wiki
 from .extraction.resolution import NameResolver
 from .kb import Entity, Literal, Relation, load, ns, save
-from .pipeline import BuildConfig, KnowledgeBaseBuilder
+from .pipeline import KnowledgeBaseBuilder
 from .world import WorldConfig, generate_world
 
 
@@ -75,22 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="print a span tree and metrics table for the pipeline run",
-    )
-    build.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="extract pages in a pool of this many processes, which read "
-        "the corpus from a mmap-able corpus file (0 or 1 = in-process; "
-        "same KB bytes either way)",
-    )
-    build.add_argument(
-        "--corpus-file",
-        default=None,
-        metavar="PATH",
-        help="materialize (or reuse, when its content matches the "
-        "generated corpus) the corpus file at this path instead of a "
-        "temporary location",
     )
 
     ingest = commands.add_parser(
@@ -124,10 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fold the generation stack to canonical single-segment form "
         "after the ingest (drops tombstones for good)",
     )
-    ingest.add_argument(
-        "--workers", type=int, default=0,
-        help="extraction processes (0 or 1 = in-process)",
-    )
 
     scenario = commands.add_parser(
         "scenario",
@@ -150,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--segments", default=None, metavar="DIR",
         help="also emit the KB as a byte-pinned segment directory",
     )
-    scenario_build.add_argument("--workers", type=int, default=0)
     scenario_eval = scenario_actions.add_parser(
         "evaluate",
         help="build scenario(s) and score extraction + KB quality "
@@ -175,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-burst-leg", action="store_true",
         help="skip the incremental-ingest leg of burst scenarios",
     )
-    scenario_eval.add_argument("--workers", type=int, default=0)
 
     stats = commands.add_parser("stats", help="summarize a saved knowledge base")
     stats.add_argument("--kb", required=True)
@@ -229,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     determinism.add_argument(
         "--runs", type=int, default=2,
-        help="number of fresh-subprocess builds; run i uses execution mode "
-        "i mod 2 (serial, process2) under PYTHONHASHSEED=i",
+        help="number of fresh-subprocess builds; run i runs under "
+        "PYTHONHASHSEED=i",
     )
     determinism.add_argument("--seed", type=int, default=7)
     determinism.add_argument(
@@ -252,24 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_build(args, out) -> int:
-    if args.workers < 0:
-        print("error: --workers must be non-negative", file=out)
-        return 2
     print(f"Generating world (seed={args.seed}, people={args.people}) ...", file=out)
     world = generate_world(WorldConfig(seed=args.seed, n_people=args.people))
     wiki = build_wiki(world)
-    workers_note = (
-        f" with {args.workers} worker processes" if args.workers > 1 else ""
-    )
-    print(f"Harvesting from {len(wiki.pages)} pages{workers_note} ...", file=out)
+    print(f"Harvesting from {len(wiki.pages)} pages ...", file=out)
     if args.trace:
         obs.reset()
         obs.enable()
-    config = BuildConfig(workers=args.workers, corpus_file=args.corpus_file)
     try:
-        kb, report = KnowledgeBaseBuilder(
-            wiki, aliases=world.aliases, config=config
-        ).build()
+        kb, report = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
     finally:
         if args.trace:
             obs.disable()
@@ -295,28 +264,12 @@ def _command_build(args, out) -> int:
         print(obs.render_trace(), file=out)
         print("\n--- metrics ---", file=out)
         print(obs.render_metrics(), file=out)
-        from .bigdata import advise_worker_count
-
-        advice = advise_worker_count(args.workers)
-        if advice is not None:
-            print(
-                f"\nworkers: {advice['workers']} at "
-                f"{advice['utilization']:.0%} utilization "
-                f"(busy {advice['busy_s']:.2f}s of "
-                f"{advice['workers']}x{advice['wall_s']:.2f}s wall) "
-                f"-> recommended {advice['recommended']} "
-                f"(of {advice['cpus']} CPUs)",
-                file=out,
-            )
     return 0
 
 
 def _command_ingest(args, out) -> int:
     from .pipeline import IncrementalBuilder
 
-    if args.workers < 0:
-        print("error: --workers must be non-negative", file=out)
-        return 2
     if args.start < 0:
         print("error: --start must be non-negative", file=out)
         return 2
@@ -330,13 +283,12 @@ def _command_ingest(args, out) -> int:
     upto = len(titles) if args.upto is None else min(args.upto, len(titles))
     batch = [wiki.pages[title] for title in titles[args.start:upto]]
     retract = [tuple(key) for key in (args.retract or [])]
-    config = BuildConfig(workers=args.workers)
     print(
         f"Ingesting pages [{args.start}, {upto}) of {len(titles)} "
         f"into {args.segments} ...",
         file=out,
     )
-    builder = IncrementalBuilder(args.segments, config)
+    builder = IncrementalBuilder(args.segments)
     try:
         report = builder.ingest(
             pages=batch,
@@ -392,9 +344,6 @@ def _command_scenario(args, out) -> int:
         return 0
 
     if args.action == "build":
-        if args.workers < 0:
-            print("error: --workers must be non-negative", file=out)
-            return 2
         try:
             bundle = build_scenario(args.name)
         except KeyError as error:
@@ -405,9 +354,8 @@ def _command_scenario(args, out) -> int:
             f"({len(bundle.wiki.pages)} pages) ...",
             file=out,
         )
-        config = BuildConfig(workers=args.workers)
         kb, report = KnowledgeBaseBuilder(
-            bundle.wiki, aliases=bundle.world.aliases, config=config
+            bundle.wiki, aliases=bundle.world.aliases
         ).build()
         print(
             f"scenario: name={args.name} pages={report.pages} "
@@ -433,9 +381,6 @@ def _command_scenario(args, out) -> int:
     # evaluate
     from .eval.scenarios import check_floors, evaluate_matrix
 
-    if args.workers < 0:
-        print("error: --workers must be non-negative", file=out)
-        return 2
     if args.name and args.all:
         print("error: pass --name or --all, not both", file=out)
         return 2
@@ -445,9 +390,7 @@ def _command_scenario(args, out) -> int:
         known = ", ".join(SCENARIOS)
         print(f"error: unknown scenario(s) {unknown} (known: {known})", file=out)
         return 2
-    scores = evaluate_matrix(
-        names, workers=args.workers, burst_leg=not args.no_burst_leg
-    )
+    scores = evaluate_matrix(names, burst_leg=not args.no_burst_leg)
     for score in scores:
         print(score.telemetry(), file=out)
     violations = check_floors(scores)
@@ -461,8 +404,6 @@ def _command_scenario(args, out) -> int:
                 "sentences": score.sentences,
                 "triples": score.triples,
                 "build_seconds": score.build_seconds,
-                "backend": score.backend,
-                "workers": score.workers,
                 "extraction": {
                     "precision": score.extraction.precision,
                     "recall": score.extraction.recall,
@@ -597,7 +538,7 @@ def _command_serve(args, out) -> int:
 
 
 def _command_check_determinism(args, out) -> int:
-    from .determinism import MODES, check, lint_paths
+    from .determinism import check, lint_paths
 
     if args.runs < 2:
         print("error: --runs must be at least 2", file=out)
@@ -613,12 +554,10 @@ def _command_check_determinism(args, out) -> int:
             status = 1
         else:
             print("lint: clean", file=out)
-    labels = ", ".join(mode for mode, __ in MODES)
     leg = ", each with an incremental ingest" if args.incremental else ""
     print(
-        f"Building {args.runs}x (seed={args.seed}, people={args.people}), "
-        f"cycling modes ({labels}) under distinct PYTHONHASHSEED "
-        f"values{leg} ...",
+        f"Building {args.runs}x (seed={args.seed}, people={args.people}) "
+        f"under distinct PYTHONHASHSEED values{leg} ...",
         file=out,
     )
     report = check(

@@ -19,7 +19,6 @@ from .templates import (
     templates_for,
 )
 from .wiki import Category, Wiki, WikiConfig, WikiPage, build_wiki
-from .corpusfile import CorpusReader, open_corpus, write_corpus
 from .social import Post, SocialConfig, SocialStream, generate_stream
 from .querylog import (
     GOLD_ATTRIBUTES,
@@ -53,9 +52,6 @@ __all__ = [
     "WikiConfig",
     "WikiPage",
     "build_wiki",
-    "CorpusReader",
-    "open_corpus",
-    "write_corpus",
     "Post",
     "SocialConfig",
     "SocialStream",

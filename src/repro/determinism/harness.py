@@ -1,12 +1,10 @@
-"""The determinism runner: one mode × hash-seed matrix of subprocess builds.
+"""The determinism runner: one hash-seed sweep of subprocess builds.
 
 The KB pipeline's contract is that ``repro build --seed S`` produces the
-same knowledge base in *every* process and in *every* execution mode.  A
-single-process test cannot catch Python's per-process hash randomization
-leaking into iteration order, so :func:`check` runs the build ``runs``
-times in fresh subprocesses.  Run ``i`` uses execution mode
-``MODES[i % len(MODES)]`` under ``PYTHONHASHSEED=i``, so the default two
-runs already cover serial and a process pool under distinct hash seeds.
+same knowledge base in *every* process.  A single-process test cannot
+catch Python's per-process hash randomization leaking into iteration
+order, so :func:`check` runs the build ``runs`` times in fresh
+subprocesses, run ``i`` under ``PYTHONHASHSEED=i``.
 
 Every run emits the KB both as an ``.nt`` file and as a segment
 directory, and both are compared against run 0:
@@ -35,10 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .stable import canonical_kb_lines
-
-#: Execution modes as ``(label, --workers)``: the in-process build and a
-#: process pool whose workers read pages from the shared corpus file.
-MODES: tuple[tuple[str, int], ...] = (("serial", 0), ("process2", 2))
 
 #: Seconds one ``repro`` subprocess may take before the check gives up.
 _TIMEOUT = 600.0
@@ -145,7 +139,7 @@ def first_divergence(
 class DeterminismReport:
     """Outcome of :func:`check`: every run's label and every failure."""
 
-    runs: list[str] = field(default_factory=list)   # "mode@PYTHONHASHSEED"
+    runs: list[str] = field(default_factory=list)   # "hashseed@PYTHONHASHSEED"
     triples: int = 0
     files: int = 0
     incremental: bool = False
@@ -201,7 +195,7 @@ def _run_repro(argv: list[str], hash_seed: int) -> None:
 def check(
     seed: int = 7, people: int = 40, runs: int = 2, incremental: bool = False
 ) -> DeterminismReport:
-    """Run the mode × hash-seed matrix and compare every run with run 0.
+    """Run the hash-seed sweep and compare every run with run 0.
 
     ``report.ok`` is True iff no run's ``.nt`` bytes, segment files or
     (with ``incremental``) incremental directory differ from run 0's.
@@ -216,16 +210,14 @@ def check(
     with tempfile.TemporaryDirectory(prefix="repro-determinism-") as tmp:
         reference = os.path.join(tmp, "run0")
         for index in range(runs):
-            mode, workers = MODES[index % len(MODES)]
-            report.runs.append(f"{mode}@{index}")
-            name = f"run {index} ({mode}, PYTHONHASHSEED={index})"
+            report.runs.append(f"hashseed@{index}")
+            name = f"run {index} (PYTHONHASHSEED={index})"
             run = os.path.join(tmp, f"run{index}")
             os.mkdir(run)
-            argv = world + (["--workers", str(workers)] if workers else [])
-            report.failures += _build_leg(run, reference, argv, index, name)
+            report.failures += _build_leg(run, reference, world, index, name)
             if incremental:
                 failures, tombstones = _incremental_leg(
-                    run, reference, argv, cut, index, name
+                    run, reference, world, cut, index, name
                 )
                 report.failures += failures
                 report.tombstones = max(report.tombstones, tombstones)

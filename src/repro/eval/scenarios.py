@@ -51,8 +51,6 @@ class ScenarioScore:
     sentences: int = 0
     triples: int = 0
     build_seconds: float = 0.0
-    backend: str = "serial"
-    workers: int = 1
     extraction: PRF = field(default_factory=lambda: PRF(0.0, 0.0, 0.0))
     kb: PRF = field(default_factory=lambda: PRF(0.0, 0.0, 0.0))
     knobs: dict[str, float] = field(default_factory=dict)
@@ -71,8 +69,6 @@ class ScenarioScore:
             f"sentences={self.sentences}",
             f"triples={self.triples}",
             f"build_s={self.build_seconds:.3f}",
-            f"backend={self.backend}",
-            f"workers={self.workers}",
             f"extraction_p={self.extraction.precision:.3f}",
             f"extraction_r={self.extraction.recall:.3f}",
             f"extraction_f1={self.extraction.f1:.3f}",
@@ -131,9 +127,7 @@ def _score_stores(
     score.kb = precision_recall(_fact_keys(kb), gold)
 
 
-def _burst_leg(
-    score: ScenarioScore, bundle: ScenarioBundle, kb, config: BuildConfig
-) -> None:
+def _burst_leg(score: ScenarioScore, bundle: ScenarioBundle, kb) -> None:
     """Replay the burst as a delta ingest; assert byte-identity to ``kb``.
 
     Seed-ingests the pre-fold wiki, ingests the post-fold delta batch
@@ -147,7 +141,7 @@ def _burst_leg(
     base = bundle.base_wiki
     with tempfile.TemporaryDirectory(prefix="repro-scenario-") as tmp:
         directory = os.path.join(tmp, "segments")
-        with IncrementalBuilder(directory, config=config) as builder:
+        with IncrementalBuilder(directory) as builder:
             builder.ingest(
                 pages=[base.pages[title] for title in sorted(base.pages)],
                 aliases=bundle.world.aliases,
@@ -162,14 +156,10 @@ def _burst_leg(
             )
 
 
-def evaluate_scenario(
-    name: str,
-    workers: int = 0,
-    burst_leg: bool = True,
-) -> ScenarioScore:
+def evaluate_scenario(name: str, burst_leg: bool = True) -> ScenarioScore:
     """Build one scenario through the real pipeline and score it."""
     bundle = build_scenario(name)
-    config = BuildConfig(workers=workers, keep_merged_store=True)
+    config = BuildConfig(keep_merged_store=True)
     builder = KnowledgeBaseBuilder(
         bundle.wiki, aliases=bundle.world.aliases, config=config
     )
@@ -183,30 +173,24 @@ def evaluate_scenario(
         sentences=report.sentences,
         triples=len(kb),
         build_seconds=elapsed,
-        backend=report.backend,
-        workers=report.workers,
         knobs=bundle.knobs(),
         fingerprint=bundle.fingerprint(),
     )
     _score_stores(score, bundle, kb, report.merged_store)
     if burst_leg and bundle.spec.incremental_burst:
-        # The delta leg replays the same logical build, so it must use a
-        # config whose pinned (byte-affecting) fields match the one-shot's.
-        _burst_leg(score, bundle, kb, BuildConfig(workers=workers))
+        # The delta leg replays the same logical build: the default
+        # config's pinned (byte-affecting) fields match the one-shot's.
+        _burst_leg(score, bundle, kb)
     return score
 
 
 def evaluate_matrix(
     names: Optional[Sequence[str]] = None,
-    workers: int = 0,
     burst_leg: bool = True,
 ) -> list[ScenarioScore]:
     """Score every (or the named) scenario profile, in registry order."""
     selected = list(names) if names is not None else list(SCENARIOS)
-    return [
-        evaluate_scenario(name, workers=workers, burst_leg=burst_leg)
-        for name in selected
-    ]
+    return [evaluate_scenario(name, burst_leg=burst_leg) for name in selected]
 
 
 def check_floors(scores: Sequence[ScenarioScore]) -> list[str]:

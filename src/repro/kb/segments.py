@@ -13,9 +13,9 @@ The format is **byte-pinned**: every integer is little-endian and
 fixed-width, records are canonical rdfio term texts, and record order is
 the lexicographic order of the record bytes themselves — no hash order,
 no timestamps, no randomness anywhere.  Two builds of the same world
-therefore produce byte-identical segment directories at any worker count,
-which is what lets ``repro check-determinism`` diff KBs as
-files and what makes the golden tiny-world fixture in ``tests/`` stable.
+therefore produce byte-identical segment directories, which is what lets
+``repro check-determinism`` diff KBs as files and what makes the golden
+tiny-world fixture in ``tests/`` stable.
 
 Layout of one order file (``seg-NNNNNN.spo`` / ``.pos`` / ``.osp``)::
 
@@ -750,11 +750,11 @@ class SegmentStore:
     """The write side of a segment directory: flush deltas, compact.
 
     ``flush`` appends one new segment per call (an LSM level-0 write);
-    when the stack exceeds ``compact_threshold`` segments a background
-    thread folds them into one.  All writers serialize on one lock;
-    readers never take it — they open :class:`SegmentSnapshot` views,
-    which stay valid across compaction because POSIX keeps unlinked
-    files readable while mapped.
+    when the stack exceeds ``compact_threshold`` segments the same call
+    folds them into one before it returns.  All writers serialize on one
+    lock; readers never take it — they open :class:`SegmentSnapshot`
+    views, which stay valid across compaction because POSIX keeps
+    unlinked files readable while mapped.
     """
 
     def __init__(self, directory: str, compact_threshold: int = 4) -> None:
@@ -762,8 +762,6 @@ class SegmentStore:
         self.compact_threshold = compact_threshold
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._compactor: Optional[threading.Thread] = None
-        self._recompact = False
         self._closed = False
 
     # ------------------------------------------------------------- helpers
@@ -815,7 +813,8 @@ class SegmentStore:
         older generation's record for that key and is erased for good at
         :meth:`compact`.  The manifest's logical count and epoch are
         recomputed over the merged, newest-wins, tombstone-filtered
-        content.
+        content.  A flush that leaves more than ``compact_threshold``
+        segments compacts the stack before returning.
         """
         parts = [record_fields(t) for t in triples]
         dead = [tombstone_fields(*key) for key in tombstones]
@@ -847,7 +846,7 @@ class SegmentStore:
             _write_manifest(self.directory, manifest)
             live = len(manifest["segments"])
         if live > self.compact_threshold:
-            self.compact_async()
+            self.compact()
         return name
 
     #: The canonical segment name compaction folds the stack into.
@@ -864,9 +863,7 @@ class SegmentStore:
         Returns the canonical segment name (None when the directory is
         already canonical or empty).  Replaced files are swapped atomically
         and stale ones unlinked, which existing snapshots survive (their
-        mmaps stay valid).  A compaction already scheduled when
-        :meth:`close` runs still completes — close joins it — but close
-        refuses to *schedule* new ones (see :meth:`compact_async`)."""
+        mmaps stay valid)."""
         with self._lock:
             manifest = self._manifest()
             old_entries = manifest["segments"]
@@ -902,60 +899,14 @@ class SegmentStore:
                         os.unlink(path)
             return self._CANONICAL
 
-    def _compact_worker(self) -> None:
-        """Compactor thread body: compact, then retire *under the lock*.
-
-        A flush that crossed the threshold while we were compacting set
-        ``_recompact`` instead of spawning a second thread; the flag is
-        consumed here before retiring, so its request cannot be lost in
-        the window between our last fold and our exit.  ``close()`` joins
-        this drain in full: only *new* scheduling is refused after close,
-        a compaction a pre-close flush already asked for still runs."""
-        while True:
-            self.compact()
-            with self._lock:
-                if not self._recompact:
-                    self._compactor = None
-                    return
-                self._recompact = False
-
-    def compact_async(self) -> Optional[threading.Thread]:
-        """Kick off (or join into) a background compaction.
-
-        The check-then-spawn runs under the store lock, so two racing
-        ``flush()`` calls that both cross the threshold agree on one
-        compactor thread instead of spawning two; if the live compactor
-        is already past their flush it re-runs once more before retiring.
-        After :meth:`close` this is a no-op (returns None): close is
-        final, and a flush racing with it must not leave a daemon thread
-        writing into a directory the caller believes quiesced."""
-        with self._lock:
-            if self._closed:
-                return None
-            if self._compactor is not None and self._compactor.is_alive():
-                self._recompact = True
-                return self._compactor
-            thread = threading.Thread(
-                target=self._compact_worker, name="segment-compactor",
-                daemon=True,
-            )
-            self._compactor = thread
-            thread.start()
-        return thread
-
     def snapshot(self) -> SegmentSnapshot:
         """A lock-free read view of the current manifest."""
         return SegmentSnapshot(self.directory)
 
     def close(self) -> None:
-        """Make the store final: no further flushes or compactions can be
-        scheduled, and any in-flight background compaction is joined."""
+        """Make the store final: further flushes raise."""
         with self._lock:
             self._closed = True
-            compactor, self._compactor = self._compactor, None
-        # Join outside the lock: the compactor itself takes the store lock.
-        if compactor is not None:
-            compactor.join()
 
     def __repr__(self) -> str:
         return f"SegmentStore(dir={self.directory!r})"

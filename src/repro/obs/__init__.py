@@ -52,13 +52,10 @@ from .core import (
     enable,
     enabled,
     gauge,
-    merge_snapshot,
     observe,
     reset,
-    snapshot,
     span,
     take_roots,
-    worker_label,
 )
 from .render import (
     render_metrics,
@@ -78,13 +75,10 @@ __all__ = [
     "enable",
     "enabled",
     "gauge",
-    "merge_snapshot",
     "observe",
     "reset",
-    "snapshot",
     "span",
     "take_roots",
-    "worker_label",
     "render_metrics",
     "render_trace",
     "report_json",

@@ -4,10 +4,7 @@ Everything lives at module level so hot call sites can gate on a single
 attribute load (``core.ENABLED``) — when the flag is False no span, dict,
 or float is ever allocated.  State is process-local and *per-thread*: each
 thread records spans and metrics into its own registry, so server handler
-threads never race on a shared span stack.  Worker telemetry from pool
-processes is folded back into the parent explicitly via :func:`snapshot`
-(captured in-worker) and :func:`merge_snapshot` (applied in the parent),
-which is how ``build --trace`` keeps a per-worker breakdown.
+threads never race on a shared span stack.
 
 The span stack is explicit: ``span()`` pushes on ``__enter__`` and pops on
 ``__exit__``, attaching each finished span to its parent (or to the
@@ -93,8 +90,7 @@ def reset() -> None:
 
     Call between pipeline runs so one run's telemetry does not bleed into
     the next — the CLI does this before ``build --trace`` and the bench
-    harness before its instrumented run.  Worker initializers call it too,
-    clearing any state a forked child inherited from its parent.
+    harness before its instrumented run.
     """
     _state().clear()
 
@@ -131,22 +127,13 @@ class Span:
         )
 
     def to_dict(self) -> dict:
-        """A picklable/JSON-able export of this span subtree."""
+        """A JSON-able export of this span subtree."""
         return {
             "name": self.name,
             "elapsed_s": self.elapsed,
             "counters": dict(self.counters),
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        """Rebuild a span subtree exported by :meth:`to_dict`."""
-        span = cls(payload["name"])
-        span.elapsed = payload["elapsed_s"]
-        span.counters = dict(payload["counters"])
-        span.children = [cls.from_dict(child) for child in payload["children"]]
-        return span
 
     def __repr__(self) -> str:
         return (
@@ -228,82 +215,6 @@ def annotate(counter: str, n: float = 1) -> None:
 def take_roots() -> list[Span]:
     """The calling thread's finished top-level spans since the last reset."""
     return list(_state().roots)
-
-
-# ----------------------------------------------------- worker telemetry
-
-
-def worker_label() -> str:
-    """A stable-ish name for the executing worker, for trace grouping.
-
-    Pool processes report their process name (``ForkPoolWorker-1``), pool
-    threads their thread name; the parent's main thread reports ``main``.
-    """
-    import multiprocessing
-
-    process = multiprocessing.current_process()
-    if process.name != "MainProcess":
-        return process.name
-    thread = threading.current_thread()
-    if thread is not threading.main_thread():
-        return thread.name
-    return "main"
-
-
-def snapshot(reset: bool = False) -> dict:
-    """A picklable export of the calling thread's recorded telemetry.
-
-    Execution-backend workers call this after each task (with
-    ``reset=True``) and ship the payload back with the task result; the
-    parent folds it in with :func:`merge_snapshot`.  Keys: ``worker`` (the
-    :func:`worker_label`), ``counters``, ``gauges``, ``histograms`` (raw
-    sample lists), and ``spans`` (finished root spans as dicts).
-    """
-    state = _state()
-    payload = {
-        "worker": worker_label(),
-        "counters": dict(state.counters),
-        "gauges": dict(state.gauges),
-        "histograms": {
-            name: list(histogram.values)
-            for name, histogram in state.histograms.items()
-        },
-        "spans": [span.to_dict() for span in state.roots],
-    }
-    if reset:
-        state.clear()
-    return payload
-
-
-def merge_snapshot(payload: dict, label: Optional[str] = None) -> None:
-    """Fold a worker :func:`snapshot` into the calling thread's registry.
-
-    Counters add, gauges last-write-wins, histogram samples extend.  The
-    snapshot's spans are re-attached under the currently open span (or as
-    new roots), wrapped in a ``label`` span when one is given — the
-    per-worker grouping ``build --trace`` renders.
-    """
-    if not ENABLED:
-        return
-    state = _state()
-    for name, value in payload["counters"].items():
-        state.counters[name] = state.counters.get(name, 0) + value
-    state.gauges.update(payload["gauges"])
-    for name, values in payload["histograms"].items():
-        histogram = state.histograms.get(name)
-        if histogram is None:
-            histogram = state.histograms[name] = Histogram(name)
-        histogram.values.extend(values)
-    spans = [Span.from_dict(span) for span in payload["spans"]]
-    if label is not None and spans:
-        wrapper = Span(label)
-        wrapper.children = spans
-        wrapper.elapsed = sum(span.elapsed for span in spans)
-        spans = [wrapper]
-    if state.stack:
-        state.stack[-1].children.extend(spans)
-    else:
-        state.roots.extend(spans)
 
 
 # ------------------------------------------------------------------ metrics

@@ -4,28 +4,18 @@ This is "a YAGO built from the synthetic Wikipedia": category integration
 supplies the class taxonomy, infobox and sentence extractors supply the
 facts, temporal tagging supplies scopes, interlanguage links supply
 multilingual labels, and MaxSat consistency reasoning cleans the result.
-Per-page extraction is a map job: with ``BuildConfig.workers > 1`` it fans
-out over a process pool.  The parent writes the corpus once as a mmap-able
-corpus file; each worker opens it by path, builds the name resolver and
-gazetteer once in its initializer, extracts page batches, and ships its
-telemetry back to the parent.  Batch results concatenate in input order,
-so the resulting KB is byte-identical to a serial build.  Every later stage
-runs in the parent.
+Every stage runs in-process; per-page extraction walks the pages in title
+order, so a build is a pure function of (wiki, aliases, config).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 from ..kb import Entity, Taxonomy, Triple, TripleStore, ns
-from ..corpus.corpusfile import CorpusReader, open_corpus, write_corpus
 from ..corpus.wiki import Wiki, WikiPage
-from ..bigdata.backends import ExecutionBackend, chunked, get_backend
 from ..extraction.base import Candidate
 from ..extraction.consistency import ConsistencyReasoner, ConsistencyReport
 from ..extraction.infobox import InfoboxExtractor
@@ -58,10 +48,6 @@ class BuildConfig:
     use_consistency: bool = True
     use_multilingual: bool = True
     min_confidence: float = 0.5
-    # Execution policy — never byte-affecting: workers > 1 extracts pages
-    # in a process pool that reads the corpus file.
-    workers: int = 0                        # <= 1 = in-process execution
-    corpus_file: Optional[str] = None       # write/reuse the corpus file here
     # Keep a copy of the merged pre-consistency fact store on the report
     # (``BuildReport.merged_store``) so quality harnesses can score the
     # extraction stage separately from the reasoned KB.  Observation only —
@@ -83,8 +69,6 @@ class BuildReport:
     accepted_facts: int = 0
     label_triples: int = 0
     consistency: Optional[ConsistencyReport] = None
-    backend: str = "serial"
-    workers: int = 1
     #: The merged pre-consistency fact store (only when
     #: ``BuildConfig.keep_merged_store`` is set).
     merged_store: Optional[TripleStore] = None
@@ -117,9 +101,8 @@ class PageExtractor:
     """The per-page fact extraction context.
 
     Holds the extractor instances (infobox, patterns) alongside the
-    resolver and gazetteer so they are constructed once per worker, not
-    once per page — this is the unit the execution backends instantiate in
-    their worker initializer.
+    resolver and gazetteer so they are constructed once per builder, not
+    once per page.
     """
 
     def __init__(self, resolver: NameResolver, config: BuildConfig) -> None:
@@ -171,52 +154,6 @@ class PageExtractor:
         return candidates
 
 
-# Worker-side extraction context, installed in each pool process by
-# :func:`_extraction_worker_init_corpus`.
-_WORKER = threading.local()
-
-
-def _corpus_resolver(reader: CorpusReader) -> NameResolver:
-    """:func:`_build_resolver` reconstructed from a corpus file's catalog:
-    same registrations, same order, no in-memory wiki required."""
-    titles, by_entity, aliases = reader.catalog()
-    resolver = NameResolver()
-    for title, entity in titles.items():
-        resolver.add(title, entity, count=5)
-    for entity, forms in aliases:
-        title = by_entity.get(entity)
-        if title is None:
-            continue
-        for form in forms:
-            if form != title:
-                resolver.add(form, entity)
-    return resolver
-
-
-def _extraction_worker_init_corpus(corpus_path: str, config: BuildConfig) -> None:
-    """Build one worker's resolver/gazetteer/extractors (runs once per
-    worker, before any page batch).
-
-    The worker receives a *path*, not a pickled wiki: it mmaps the shared
-    read-only corpus file (process-cached across map calls) and loads
-    pages by title on demand — the OS page cache shares the bytes between
-    every worker on the host.
-    """
-    reader = open_corpus(corpus_path)
-    _WORKER.load_page = reader.page
-    _WORKER.extractor = PageExtractor(_corpus_resolver(reader), config)
-
-
-def _extract_batch(titles: list[str]) -> list[Candidate]:
-    """Extract one batch of pages inside a worker (titles in input order)."""
-    extractor: PageExtractor = _WORKER.extractor
-    load_page = _WORKER.load_page
-    candidates: list[Candidate] = []
-    for title in titles:
-        candidates.extend(extractor.extract(load_page(title)))
-    return candidates
-
-
 class KnowledgeBaseBuilder:
     """Build a KB from an encyclopedia."""
 
@@ -231,14 +168,8 @@ class KnowledgeBaseBuilder:
         self.config = config if config is not None else BuildConfig()
         self.resolver = _build_resolver(wiki, aliases)
         self._extractor = PageExtractor(self.resolver, self.config)
-        self._gazetteer = self._extractor.gazetteer
-        self._corpus_path: Optional[str] = None
 
     # -------------------------------------------------------------- stages
-
-    def _page_candidates(self, page: WikiPage) -> list[Candidate]:
-        """All fact candidates one page contributes (the map function)."""
-        return self._extractor.extract(page)
 
     def build(
         self, candidates: Optional[list[Candidate]] = None
@@ -255,80 +186,6 @@ class KnowledgeBaseBuilder:
         report.sentences = sum(
             len(p.document.sentences) for p in self.wiki.pages.values()
         )
-
-        # Resolve the extraction backend once per build; a process pool is
-        # closed when the build finishes.
-        backend = get_backend(self.config.workers)
-        report.backend = backend.name
-        report.workers = backend.workers
-        corpus_tmp = self._prepare_corpus(backend, skip=candidates is not None)
-        try:
-            return self._build_with(backend, report, candidates)
-        finally:
-            backend.close()
-            self._corpus_path = None
-            if corpus_tmp is not None:
-                import shutil
-
-                shutil.rmtree(corpus_tmp, ignore_errors=True)
-
-    def _prepare_corpus(
-        self, backend: ExecutionBackend, skip: bool = False
-    ) -> Optional[str]:
-        """Write (or reuse) the corpus file this build's workers will mmap.
-
-        Returns the temp directory to clean up afterwards, if one was
-        created.  No file is produced for serial builds or injected
-        candidates (``skip``) unless the caller pinned ``corpus_file``,
-        which always materializes the artifact for reuse.
-        """
-        uses_file = backend.workers > 1 and not skip
-        if not uses_file and self.config.corpus_file is None:
-            return None
-        tmp_dir: Optional[str] = None
-        if self.config.corpus_file is not None:
-            path = self.config.corpus_file
-        else:
-            tmp_dir = tempfile.mkdtemp(prefix="repro-corpus-")
-            path = os.path.join(tmp_dir, "corpus.rprocrp")
-        with _obs.span("pipeline.corpus") as tracing:
-            manifest = self._ensure_corpus_file(path)
-            tracing.add("pages", manifest["pages"])
-            tracing.add("bytes", manifest["bytes"])
-            tracing.add("reused", manifest.get("reused", False))
-        if uses_file:
-            self._corpus_path = path
-        return tmp_dir
-
-    def _ensure_corpus_file(self, path: str) -> dict:
-        """Write the corpus file, or validate and reuse an existing one.
-
-        Reuse checks identity cheaply via the file's resolver catalog
-        (see :meth:`CorpusReader.matches`); a mismatched or unreadable
-        file is rewritten in place (atomic replace; open mmaps keep the
-        old inode).
-        """
-        if os.path.exists(path):
-            try:
-                reader = CorpusReader(path)
-            except (ValueError, OSError):
-                reader = None
-            if reader is not None:
-                with reader:
-                    if reader.matches(self.wiki, self.aliases):
-                        manifest = reader.manifest()
-                        manifest["reused"] = True
-                        if _obs.ENABLED:
-                            _obs.count("corpus.file.reuses")
-                        return manifest
-        return write_corpus(self.wiki, path, aliases=self.aliases)
-
-    def _build_with(
-        self,
-        backend: ExecutionBackend,
-        report: BuildReport,
-        candidates: Optional[list[Candidate]] = None,
-    ) -> tuple[TripleStore, BuildReport]:
         with _obs.span("pipeline.build") as building:
             building.add("pages", report.pages)
             building.add("sentences", report.sentences)
@@ -344,11 +201,10 @@ class KnowledgeBaseBuilder:
                 report.type_triples = len(type_triples)
                 tracing.add("type_triples", report.type_triples)
 
-            # 2. Facts: per-page extraction, in-process or over the pool.
+            # 2. Facts: per-page extraction.
             with _obs.span("pipeline.extract") as tracing:
-                tracing.add("workers", backend.workers)
                 if candidates is None:
-                    candidates = self._extract_pages(backend)
+                    candidates = self._extract_pages()
                 for candidate in candidates:
                     if candidate.extractor == "infobox":
                         report.infobox_candidates += 1
@@ -419,26 +275,12 @@ class KnowledgeBaseBuilder:
             building.add("triples", len(kb))
         return kb, report
 
-    def _extract_pages(self, backend: ExecutionBackend) -> list[Candidate]:
-        """Per-page extraction over the backend, in page-title order.
-
-        Batches are contiguous title ranges and results concatenate in
-        batch order, so the pool yields the same candidate list as the
-        in-process loop.
-        """
-        titles = sorted(self.wiki.pages)
-        if backend.workers <= 1:
-            candidates: list[Candidate] = []
-            for title in titles:
-                candidates.extend(self._page_candidates(self.wiki.pages[title]))
-            return candidates
-        batches = backend.map(
-            _extract_batch,
-            chunked(titles, backend.workers * 4),
-            initializer=_extraction_worker_init_corpus,
-            initargs=(self._corpus_path, self.config),
-        )
-        return [candidate for batch in batches for candidate in batch]
+    def _extract_pages(self) -> list[Candidate]:
+        """Per-page extraction, in page-title order."""
+        candidates: list[Candidate] = []
+        for title in sorted(self.wiki.pages):
+            candidates.extend(self._extractor.extract(self.wiki.pages[title]))
+        return candidates
 
 
 def _bridged_types(wiki: Wiki) -> list[Triple]:

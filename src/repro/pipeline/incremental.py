@@ -79,8 +79,7 @@ STATE_VERSION = 2
 #: BuildConfig fields that change the *bytes* of the output KB.  They are
 #: pinned in the state file: mixing configs across ingests would silently
 #: break the incremental == full-rebuild invariant, so it is an error.
-#: Execution knobs (workers, corpus_file) are byte-neutral by the
-#: determinism contract and may vary freely between ingests.
+#: ``keep_merged_store`` is observation only and may vary between ingests.
 _PINNED_CONFIG = (
     "use_infobox",
     "use_patterns",

@@ -31,31 +31,21 @@ class TestBuild:
         kb = load(str(path))
         assert len(kb) > 500
 
-    def test_workers_build_matches_serial(self, built_kb, tmp_path):
-        path, __ = built_kb
-        parallel_path = tmp_path / "kb-workers.nt"
-        out = io.StringIO()
-        code = main(
-            [
-                "build", "--seed", "7", "--people", "60", "--workers", "2",
-                "--out", str(parallel_path),
-            ],
-            out=out,
-        )
-        assert code == 0
-        assert parallel_path.read_text() == path.read_text()
 
-    def test_negative_workers_rejected(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            [
-                "build", "--seed", "7", "--people", "10",
-                "--workers", "-1", "--out", str(tmp_path / "kb.nt"),
-            ],
-            out=out,
-        )
-        assert code == 2
-        assert "--workers" in out.getvalue()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--out", "kb.nt", "--workers", "2"],
+        ["build", "--out", "kb.nt", "--corpus-file", "corpus.bin"],
+        ["ingest", "--segments", "seg", "--workers", "2"],
+        ["scenario", "build", "--name", "baseline", "--workers", "2"],
+        ["scenario", "evaluate", "--all", "--workers", "2"],
+    ],
+)
+def test_removed_execution_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv, out=io.StringIO())
+    assert exit_info.value.code == 2
 
 
 class TestStats:

@@ -314,12 +314,12 @@ class TestLint:
         assert lint_paths([package_root]) == []
 
 
-class TestCrossModeReporting:
-    def test_too_few_modes_rejected(self, monkeypatch):
+class TestHashSeedReporting:
+    def test_too_few_runs_rejected(self, monkeypatch):
         import io
 
         from repro.cli import main
-        from repro.determinism import MODES, check, harness
+        from repro.determinism import check, harness
 
         calls = []
 
@@ -328,25 +328,18 @@ class TestCrossModeReporting:
             assert main(argv, out=io.StringIO()) == 0
 
         monkeypatch.setattr(harness, "_run_repro", in_process)
-        # One run covers one mode only: the matrix is refused before any
-        # build starts.
+        # One run compares nothing: refused before any build starts.
         for runs in (1, 0):
             with pytest.raises(ValueError):
                 check(people=20, runs=runs)
         assert calls == []
-        # The smallest accepted matrix covers every mode once, each under
-        # its own hash seed.
-        report = check(people=20, runs=len(MODES))
+        # Run i is a plain build under PYTHONHASHSEED=i.
+        report = check(people=20, runs=2)
         assert report.ok, report.describe()
-        assert report.runs == [
-            f"{mode}@{index}" for index, (mode, __) in enumerate(MODES)
-        ]
-        assert [seed for seed, __ in calls] == list(range(len(MODES)))
-        for (__, argv), (__, workers) in zip(calls, MODES):
-            if workers:
-                assert argv[argv.index("--workers") + 1] == str(workers)
-            else:
-                assert "--workers" not in argv
+        assert report.runs == ["hashseed@0", "hashseed@1"]
+        assert [seed for seed, __ in calls] == [0, 1]
+        for __, argv in calls:
+            assert "--workers" not in argv
 
 
 class TestHarnessReporting:
@@ -428,30 +421,25 @@ class TestHarnessReporting:
 
 
 class TestReport:
-    def test_modes_cover_every_strategy(self):
-        from repro.determinism import MODES
-
-        assert MODES == (("serial", 0), ("process2", 2))
-
     def test_describe_ok_and_failing(self):
         from repro.determinism import DeterminismReport
 
         ok = DeterminismReport(
-            runs=["serial@0", "process2@1"], triples=10, files=5,
+            runs=["hashseed@0", "hashseed@1"], triples=10, files=5,
         )
         assert ok.ok
-        assert "deterministic: 2 runs (serial@0, process2@1)" in ok.describe()
+        assert "deterministic: 2 runs (hashseed@0, hashseed@1)" in ok.describe()
         assert "tombstone" not in ok.describe()
         ok.incremental, ok.tombstones = True, 1
         assert "1 tombstone(s) exercised" in ok.describe()
         bad = DeterminismReport(
-            runs=["serial@0", "process2@1"],
-            failures=["run 1 (process2, PYTHONHASHSEED=1): first\nsecond"],
+            runs=["hashseed@0", "hashseed@1"],
+            failures=["run 1 (PYTHONHASHSEED=1): first\nsecond"],
         )
         assert not bad.ok
         text = bad.describe()
         assert text.startswith("NOT deterministic:")
-        assert "  run 1 (process2, PYTHONHASHSEED=1): first\n  second" in text
+        assert "  run 1 (PYTHONHASHSEED=1): first\n  second" in text
 
 
 class TestRunnerFaultInjection:
@@ -462,7 +450,7 @@ class TestRunnerFaultInjection:
     first and damage what the build wrote afterwards.
     """
 
-    RUN_1 = "run 1 (process2, PYTHONHASHSEED=1)"
+    RUN_1 = "run 1 (PYTHONHASHSEED=1)"
 
     @staticmethod
     def _check(monkeypatch, damage_build=None, rewrite=None,
@@ -575,7 +563,7 @@ class TestCheckDeterminismCommand:
             if line.startswith("deterministic:")
         ]
         assert len(summaries) == 1
-        assert "serial@0" in summaries[0] and "process2@1" in summaries[0]
+        assert "hashseed@0" in summaries[0] and "hashseed@1" in summaries[0]
 
     @pytest.mark.parametrize("flag", ["--cross-mode", "--segments", "--fast"])
     def test_removed_flags_are_rejected(self, flag):

@@ -52,6 +52,15 @@ def tiny_triples():
     ]
 
 
+def _segment_names(directory):
+    """The segment generations present in ``directory``."""
+    return {
+        name.split(".")[0]
+        for name in os.listdir(directory)
+        if name.startswith("seg-")
+    }
+
+
 @pytest.fixture
 def store():
     return TripleStore(tiny_triples())
@@ -250,8 +259,7 @@ class TestLSMStack:
         assert after.epoch == before.epoch == store.epoch
         assert sorted(map(repr, after)) == sorted(map(repr, store))
         # Only one generation remains on disk.
-        segments = {n.split(".")[0] for n in os.listdir(seg.directory) if n.startswith("seg-")}
-        assert len(segments) == 1
+        assert len(_segment_names(seg.directory)) == 1
         before.close()
         after.close()
         seg.close()
@@ -270,23 +278,19 @@ class TestLSMStack:
 
     def test_auto_compaction_over_threshold(self, tmp_path, store):
         seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=2)
-        schedule = seg.compact_async
-
-        def compact_and_wait():
-            # Each over-threshold flush waits for its compaction, so the
-            # stack the next flush sees never depends on thread timing.
-            thread = schedule()
-            if thread is not None:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            return thread
-
-        seg.compact_async = compact_and_wait
-        for triple in sorted(store, key=repr):
+        triples = sorted(store, key=repr)
+        assert len(triples) >= 3
+        for triple in triples[:3]:
             seg.flush([triple])
+        # The third flush crossed the threshold and compacted before it
+        # returned: one canonical segment holding all three triples.
+        assert _segment_names(seg.directory) == {"seg-000000"}
+        with open_snapshot(seg.directory) as snap:
+            assert len(snap) == 3
+        for triple in triples[3:]:
+            seg.flush([triple])
+            assert len(_segment_names(seg.directory)) <= 2
         seg.close()
-        segments = {n.split(".")[0] for n in os.listdir(seg.directory) if n.startswith("seg-")}
-        assert len(segments) == 1
         with open_snapshot(seg.directory) as snap:
             assert snap.epoch == store.epoch
 
@@ -379,26 +383,10 @@ class TestTombstones:
 
 
 class TestWriterRaces:
-    def test_concurrent_flushes_spawn_one_compactor(self, tmp_path):
-        # The regression: two flushes racing past the threshold both saw
-        # a dead compactor and spawned two threads compacting at once.
-        # Instrument compact() entry to measure the worst-case overlap.
-        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=2)
-        gauge = {"now": 0, "max": 0}
-        gauge_lock = threading.Lock()
-        original_compact = seg.compact
-
-        def tracked_compact():
-            with gauge_lock:
-                gauge["now"] += 1
-                gauge["max"] = max(gauge["max"], gauge["now"])
-            try:
-                return original_compact()
-            finally:
-                with gauge_lock:
-                    gauge["now"] -= 1
-
-        seg.compact = tracked_compact
+    def test_concurrent_flushes_lose_no_triple(self, tmp_path):
+        # Threshold 1: every flush that leaves two or more segments
+        # compacts, so the last write is always followed by a fold.
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=1)
         errors = []
 
         def writer(index):
@@ -408,16 +396,16 @@ class TestWriterRaces:
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 
-        workers = [
+        writers = [
             threading.Thread(target=writer, args=(i,)) for i in range(4)
         ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join()
         seg.close()
         assert not errors
-        assert gauge["max"] <= 1
+        assert _segment_names(seg.directory) == {"seg-000000"}
         with open_snapshot(seg.directory) as snap:
             assert len(snap) == 24
 
@@ -427,29 +415,8 @@ class TestWriterRaces:
         seg.close()
         with pytest.raises(ValueError, match="closed"):
             seg.flush([Triple(A, KNOWS, D)])
-        assert seg.compact_async() is None
         # Idempotent close; content unchanged.
         seg.close()
         with open_snapshot(seg.directory) as snap:
             assert snap.epoch == store.epoch
 
-    def test_close_joins_pending_recompaction(self, tmp_path, store):
-        # A flush racing with close may have asked for one more
-        # compaction pass; close must drain it, leaving one canonical
-        # segment and no live compactor thread.
-        for attempt in range(5):
-            directory = str(tmp_path / f"lsm{attempt}")
-            seg = SegmentStore(directory, compact_threshold=1)
-            for triple in sorted(store, key=repr):
-                seg.flush([triple])
-            compactor = seg._compactor
-            seg.close()
-            assert compactor is None or not compactor.is_alive()
-            names = {
-                n.split(".")[0]
-                for n in os.listdir(directory)
-                if n.startswith("seg-")
-            }
-            assert names == {"seg-000000"}
-            with open_snapshot(directory) as snap:
-                assert snap.epoch == store.epoch

@@ -6,8 +6,7 @@ The contract under test is three-layered:
   :class:`~repro.world.scenarios.ScenarioSpec` with its own seed block,
   and the injector specs validate their parameters;
 * **determinism** — building the same profile twice yields the same
-  bundle fingerprint, and the KB built from a scenario is byte-identical
-  across the serial and process execution backends;
+  bundle fingerprint;
 * **knobs and quality** — each stress profile measurably moves its
   target axis relative to ``baseline``, and the quality harness scores
   every profile above its pinned floor (with the burst profile's
@@ -20,7 +19,6 @@ import dataclasses
 
 import pytest
 
-from repro.determinism import canonical_kb_text
 from repro.eval.scenarios import (
     QUALITY_FLOORS,
     ScenarioScore,
@@ -28,18 +26,12 @@ from repro.eval.scenarios import (
     evaluate_matrix,
 )
 from repro.eval.metrics import PRF
-from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
 from repro.world.scenarios import (
     SCENARIOS,
     DriftSpec,
     NoiseSpec,
     build_scenario,
 )
-
-#: Execution backends the byte-identity matrix covers.
-BACKENDS = {
-    "process2": {"workers": 2},
-}
 
 
 @pytest.fixture(scope="module")
@@ -50,22 +42,6 @@ def bundles():
 @pytest.fixture(scope="module")
 def knobs(bundles):
     return {name: bundle.knobs() for name, bundle in bundles.items()}
-
-
-def _build_kb(bundle, **overrides):
-    config = BuildConfig(**overrides)
-    kb, __ = KnowledgeBaseBuilder(
-        bundle.wiki, aliases=bundle.world.aliases, config=config
-    ).build()
-    return kb
-
-
-@pytest.fixture(scope="module")
-def serial_kbs(bundles):
-    return {
-        name: canonical_kb_text(_build_kb(bundle))
-        for name, bundle in bundles.items()
-    }
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +111,6 @@ class TestDeterminism:
     def test_fingerprints_distinct_across_profiles(self, bundles):
         prints = {b.fingerprint() for b in bundles.values()}
         assert len(prints) == len(bundles)
-
-    @pytest.mark.parametrize("label", sorted(BACKENDS))
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_kb_byte_identical_across_backends(
-        self, bundles, serial_kbs, name, label
-    ):
-        kb = _build_kb(bundles[name], **BACKENDS[label])
-        assert canonical_kb_text(kb) == serial_kbs[name]
 
 
 class TestKnobs:
