@@ -44,14 +44,18 @@ serializer can never produce), and it shadows every older record with its
 SPO key without contributing a triple itself.  Tombstones participate in
 bloom filters and binary searches like any record — a point lookup must
 not skip the delta that deletes its key — but are dropped from logical
-reads, counts, and the epoch.  ``compact()`` folds the stack back to the
-**canonical single-segment form**: generation 0 (``seg-000000``), with
-every tombstone — and everything it shadowed — erased for good, so a
-compacted directory is byte-identical to :func:`write_segments` of the
-same logical content.  Replaced files are rewritten atomically (tmp +
-``os.replace``) and old ones unlinked; because POSIX keeps
-unlinked-but-open mmaps readable, snapshots opened before a compaction
-keep working lock-free.
+reads, counts, and the epoch.
+
+A flush never reads the stack as a whole: the manifest's count and epoch
+(an additive multiset hash) are carried forward by one bloom-guarded
+point lookup per written key, and verified against a full recompute at
+``compact()``.  ``compact()`` folds the stack back to the **canonical
+single-segment form**: generation 0 (``seg-000000``), with every
+tombstone — and everything it shadowed — erased for good, so a compacted
+directory is byte-identical to :func:`write_segments` of the same logical
+content.  Replaced files are rewritten atomically (tmp + ``os.replace``)
+and old ones unlinked; because POSIX keeps unlinked-but-open mmaps
+readable, snapshots opened before a compaction keep working lock-free.
 
 :class:`SegmentSnapshot` is the read side: a cheap, immutable,
 lock-free view satisfying :class:`~repro.kb.engine.ReadableStore`, with
@@ -798,6 +802,53 @@ class SegmentStore:
         with self._lock:
             return self._logical_parts(self._manifest())
 
+    def _carry_identity(
+        self, manifest: dict, records: dict[bytes, tuple[str, str, str, str]]
+    ) -> tuple[str, int]:
+        """The logical (epoch, count) once ``records`` are stacked on top
+        of ``manifest``'s generations, derived from the manifest's own
+        values rather than a read of the stack.
+
+        The epoch is an additive multiset hash, so a written key only needs
+        its current witness: the first record for the key in the older
+        generations, newest first (``spo`` bloom, then a binary search of
+        the ``.spo`` file).  A live witness leaves the multiset and a live
+        new record joins it; a tombstone does neither.  Both sides hash
+        the parsed record, never an in-memory triple, because ``conf=`` is
+        stored at ``.6g`` and only the round-tripped value matches the
+        epoch a full read computes.
+        """
+        accumulator = int(manifest["epoch"], 16)
+        count = manifest["triples"]
+        segments = [
+            _OpenSegment(self.directory, entry)
+            for entry in sorted(
+                manifest["segments"], key=lambda e: e["generation"], reverse=True
+            )
+        ]
+        try:
+            for key, fields in records.items():
+                for segment in segments:
+                    if not segment.bloom("spo").might_contain(key):
+                        continue
+                    handle = segment.order_file("spo")
+                    at = handle.lower_bound(key)
+                    record = handle.record(at) if at < handle.count else b""
+                    if not record.startswith(key):
+                        continue    # a bloom false positive
+                    witness = _parts_from_record(record, "spo")
+                    if not is_tombstone(witness):
+                        accumulator -= triple_content_hash(_triple_from_parts(witness))
+                        count -= 1
+                    break
+                if not is_tombstone(fields):
+                    accumulator += triple_content_hash(_triple_from_parts(fields))
+                    count += 1
+        finally:
+            for segment in segments:
+                segment.close()
+        return epoch_hex(accumulator), count
+
     # -------------------------------------------------------------- writes
 
     def flush(
@@ -812,9 +863,12 @@ class SegmentStore:
         triple of the key to retract (:func:`spo_texts`); it shadows every
         older generation's record for that key and is erased for good at
         :meth:`compact`.  The manifest's logical count and epoch are
-        recomputed over the merged, newest-wins, tombstone-filtered
-        content.  A flush that leaves more than ``compact_threshold``
-        segments compacts the stack before returning.
+        carried forward from the previous manifest by one point lookup per
+        written key (:meth:`_carry_identity`), so a flush costs O(delta)
+        rather than a read of the whole stack; :meth:`compact` verifies
+        the carried values against a full recompute.  A flush that leaves
+        more than ``compact_threshold`` segments compacts the stack before
+        returning.
         """
         parts = [record_fields(t) for t in triples]
         dead = [tombstone_fields(*key) for key in tombstones]
@@ -836,13 +890,13 @@ class SegmentStore:
             ) + 1
             name = f"seg-{generation:06d}"
             deduped = _dedup_newest_wins([parts + dead])
+            manifest["epoch"], manifest["triples"] = self._carry_identity(
+                manifest, deduped
+            )
             entry = _write_segment_files(
                 self.directory, name, [deduped[k] for k in sorted(deduped)]
             )
             manifest["segments"].append(entry)
-            logical = self._logical_parts(manifest)
-            manifest["epoch"] = _logical_epoch(logical)
-            manifest["triples"] = len(logical)
             _write_manifest(self.directory, manifest)
             live = len(manifest["segments"])
         if live > self.compact_threshold:
@@ -863,7 +917,13 @@ class SegmentStore:
         Returns the canonical segment name (None when the directory is
         already canonical or empty).  Replaced files are swapped atomically
         and stale ones unlinked, which existing snapshots survive (their
-        mmaps stay valid)."""
+        mmaps stay valid).
+
+        Compaction is also where the epoch and count that :meth:`flush`
+        carries forward are checked: both are recomputed from the merged
+        content, and a mismatch with the manifest raises ``ValueError``
+        before any file is written (``seg-000000`` is rewritten in place,
+        so a later raise would strand the live manifest)."""
         with self._lock:
             manifest = self._manifest()
             old_entries = manifest["segments"]
@@ -878,6 +938,14 @@ class SegmentStore:
             if _obs.ENABLED:
                 _obs.count("kb.segments.compact")
             logical = self._logical_parts(manifest)
+            epoch = _logical_epoch(logical)
+            if (epoch, len(logical)) != (manifest["epoch"], manifest["triples"]):
+                raise ValueError(
+                    f"{self.directory}: manifest carries epoch "
+                    f"{manifest['epoch']} with {manifest['triples']} triples, "
+                    f"but its segments hold epoch {epoch} with "
+                    f"{len(logical)} triples"
+                )
             entry = _write_segment_files(
                 self.directory,
                 self._CANONICAL,
@@ -885,7 +953,7 @@ class SegmentStore:
             )
             manifest = {
                 "format_version": FORMAT_VERSION,
-                "epoch": _logical_epoch(logical),
+                "epoch": epoch,
                 "triples": len(logical),
                 "segments": [entry],
             }

@@ -2,13 +2,15 @@
 
 Covers the byte-pinned file format, the snapshot read path against the
 in-memory store as an oracle, bloom-filter behavior, LSM newest-wins
-semantics, compaction, and the directory differ that every
+semantics, compaction, the epoch and count a flush carries forward (and
+compaction checks), and the directory differ that every
 ``repro check-determinism`` run uses to compare its segment files with
 run 0's.
 """
 
 import json
 import os
+import random
 import threading
 
 import pytest
@@ -31,7 +33,9 @@ from repro.kb.segments import (
     SEGMENT_MAGIC,
     BloomFilter,
     ORDERS,
+    _logical_epoch,
     _parts_from_record,
+    _read_manifest,
     _record_bytes,
     record_fields,
     spo_key_bytes,
@@ -420,3 +424,143 @@ class TestWriterRaces:
         with open_snapshot(seg.directory) as snap:
             assert snap.epoch == store.epoch
 
+
+def _identity_checks(seg):
+    """Assert the manifest's carried (epoch, triples) equal both a full
+    recompute over the stack and a fresh in-memory load of a snapshot."""
+    manifest = _read_manifest(seg.directory)
+    logical = seg._logical_parts(manifest)
+    assert manifest["epoch"] == _logical_epoch(logical)
+    assert manifest["triples"] == len(logical)
+    with open_snapshot(seg.directory) as snap:
+        loaded = TripleStore(snap)
+    assert loaded.epoch == manifest["epoch"]
+    assert len(loaded) == manifest["triples"]
+    return logical
+
+
+def _bloom_false_positives(directory, keys):
+    """How many (key, generation) probes in ``keys`` a bloom passes for a
+    segment that does not hold the key."""
+    hits = 0
+    if not os.path.exists(os.path.join(directory, "MANIFEST.json")):
+        return hits
+    with open_snapshot(directory) as snap:
+        for segment in snap.segments:
+            handle = segment.order_file("spo")
+            held = {
+                spo_key_bytes(_parts_from_record(r, "spo"))
+                for r in handle.records(0, handle.count)
+            }
+            bloom = segment.bloom("spo")
+            hits += sum(
+                1 for key in keys if key not in held and bloom.might_contain(key)
+            )
+    return hits
+
+
+class TestCarriedIdentity:
+    """``flush`` carries the manifest's epoch and count forward by point
+    lookups instead of re-reading the stack; ``compact`` verifies them."""
+
+    KEYS = 240
+
+    @staticmethod
+    def _triple(index, confidence):
+        # Unrounded confidences: the record stores ``conf=`` at .6g, so
+        # only the round-tripped record hashes to the on-disk epoch.
+        subject = Entity(f"w:s{index % 17}")
+        predicate = KNOWS if index % 2 else LIKES
+        return Triple(
+            subject, predicate, Entity(f"w:o{index}"), confidence=confidence
+        )
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_random_flush_sequences_match_full_recompute(self, tmp_path, seed):
+        rng = random.Random(seed)
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        live: dict[int, Triple] = {}
+        retracted: set[int] = set()
+        false_positives = 0
+        kinds_seen = set()
+        for step in range(70):
+            adds, kills = [], []
+            for index in rng.sample(range(self.KEYS), rng.randint(1, 30)):
+                if index in live:
+                    kind = rng.choice(("conf", "same", "kill"))
+                elif index in retracted:
+                    kind = rng.choice(("readd", "kill-again"))
+                else:
+                    kind = rng.choice(("add", "add", "kill-absent"))
+                kinds_seen.add(kind)
+                if kind == "same":
+                    adds.append(live[index])
+                elif kind in ("conf", "add", "readd"):
+                    live[index] = self._triple(index, rng.random())
+                    retracted.discard(index)
+                    adds.append(live[index])
+                else:
+                    triple = live.pop(index, None) or self._triple(index, 1.0)
+                    retracted.add(index)
+                    kills.append(spo_texts(triple))
+            written = [spo_key_bytes(record_fields(t)) for t in adds] + [
+                spo_key_bytes(key + ("",)) for key in kills
+            ]
+            false_positives += _bloom_false_positives(seg.directory, written)
+            seg.flush(adds, tombstones=kills)
+            logical = _identity_checks(seg)
+            assert len(logical) == len(live)
+            if rng.random() < 0.15:
+                seg.compact()
+                _identity_checks(seg)
+        seg.close()
+        assert kinds_seen == {
+            "add", "conf", "same", "kill", "kill-absent", "kill-again", "readd"
+        }
+        # The lookups really walked past bloom false positives.
+        assert false_positives > 0
+
+    def test_flush_never_reads_whole_segments(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        for triple in triples[:3]:
+            seg.flush([triple])
+        assert len(_segment_names(seg.directory)) == 3
+
+        def refuse(self, entry):
+            raise AssertionError(f"flush read all of {entry['name']}")
+
+        monkeypatch.setattr(SegmentStore, "_segment_parts", refuse)
+        seg.flush(
+            [Triple(A, KNOWS, B, confidence=0.123456789)] + triples[3:],
+            tombstones=[spo_texts(triples[1])],
+        )
+        monkeypatch.undo()
+        assert len(_segment_names(seg.directory)) == 4
+        _identity_checks(seg)
+        seg.close()
+
+    def test_compact_rejects_a_wrong_carried_epoch_before_writing(
+        self, tmp_path, store
+    ):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        seg.flush(triples[:3])
+        seg.flush(triples[3:], tombstones=[spo_texts(triples[0])])
+        path = os.path.join(seg.directory, "MANIFEST.json")
+        manifest = json.load(open(path))
+        manifest["epoch"] = f"{int(manifest['epoch'], 16) ^ 1:032x}"
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+
+        def contents():
+            return {
+                name: open(os.path.join(seg.directory, name), "rb").read()
+                for name in sorted(os.listdir(seg.directory))
+            }
+
+        before = contents()
+        with pytest.raises(ValueError, match="epoch"):
+            seg.compact()
+        assert contents() == before
+        seg.close()
