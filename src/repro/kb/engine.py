@@ -26,6 +26,11 @@ must iterate in an order that does not depend on the per-process
 maintained with explicit ``setdefault`` — never ``defaultdict`` — so a
 stray keyed read can only raise, not auto-vivify an empty bucket that
 would skew ``count()`` and bucket-size telemetry.
+
+The five bucket indexes are *lazy*: a store that is only filled and
+iterated (a build's final KB, an ingest delta's rebuilt KB) never pays
+for them.  The first read that needs them builds all five from the
+primary map, after which inserts and deletes maintain them as before.
 """
 
 from __future__ import annotations
@@ -94,13 +99,22 @@ class InMemoryEngine:
 
     Keeps one primary ``spo -> Triple`` map plus five bucket indexes so
     every triple-pattern shape resolves to a dictionary lookup rather
-    than a scan.  Buckets are created on first insert (``setdefault``)
-    and deleted when their last key is removed, so the index never holds
-    an empty bucket — an invariant :meth:`index_stats` exposes and the
-    store tests pin.
+    than a scan.  Inserts write only the primary map until the first
+    :meth:`plan`, :meth:`predicates`, :meth:`predicate_count` or
+    :meth:`index_stats` call; that call builds all five indexes by
+    walking the primary map in insertion order (see :attr:`indexed`).
+    The bucket orders are the ones eager inserts would have produced:
+    a ``replace`` keeps a key's position and a delete-then-insert moves
+    it to the end, in the primary map and in every bucket alike.  From
+    then on buckets are created on insert (``setdefault``) and deleted
+    when their last key is removed, so the index never holds an empty
+    bucket — an invariant :meth:`index_stats` exposes and the store
+    tests pin.
     """
 
-    __slots__ = ("_by_spo", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po")
+    __slots__ = (
+        "_by_spo", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po", "_indexed"
+    )
 
     def __init__(self) -> None:
         self._by_spo: dict[SpoKey, Triple] = {}
@@ -109,6 +123,37 @@ class InMemoryEngine:
         self._by_o: dict[Term, dict[SpoKey, None]] = {}
         self._by_sp: dict[tuple[Resource, Resource], dict[SpoKey, None]] = {}
         self._by_po: dict[tuple[Resource, Term], dict[SpoKey, None]] = {}
+        self._indexed = False
+
+    @property
+    def indexed(self) -> bool:
+        """True once the five bucket indexes exist (see the class doc)."""
+        return self._indexed
+
+    def _ensure_indexes(self) -> None:
+        """Build the five bucket indexes from the primary map, once.
+
+        The new indexes are filled aside and published before the flag,
+        so a concurrent reader sees either no indexes (and builds its own
+        identical copy) or complete ones.
+        """
+        if self._indexed:
+            return
+        by_s: dict = {}
+        by_p: dict = {}
+        by_o: dict = {}
+        by_sp: dict = {}
+        by_po: dict = {}
+        for key in self._by_spo:
+            s, p, o = key
+            by_s.setdefault(s, {})[key] = None
+            by_p.setdefault(p, {})[key] = None
+            by_o.setdefault(o, {})[key] = None
+            by_sp.setdefault((s, p), {})[key] = None
+            by_po.setdefault((p, o), {})[key] = None
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o
+        self._by_sp, self._by_po = by_sp, by_po
+        self._indexed = True
 
     # ------------------------------------------------------------ primitives
 
@@ -119,6 +164,8 @@ class InMemoryEngine:
     def insert(self, key: SpoKey, triple: Triple) -> None:
         """Index a triple under a key known to be absent."""
         self._by_spo[key] = triple
+        if not self._indexed:
+            return
         s, p, o = key
         self._by_s.setdefault(s, {})[key] = None
         self._by_p.setdefault(p, {})[key] = None
@@ -139,6 +186,8 @@ class InMemoryEngine:
         if key not in self._by_spo:
             return False
         del self._by_spo[key]
+        if not self._indexed:
+            return True
         s, p, o = key
         for index, index_key in (
             (self._by_s, s),
@@ -164,6 +213,7 @@ class InMemoryEngine:
         ``s+o`` (no composite index; the smaller of the S and O buckets is
         filtered by the other position), or ``scan`` (no binding).
         """
+        self._ensure_indexes()
         if s is not None and p is not None and o is not None:
             return "spo", ([(s, p, o)] if (s, p, o) in self._by_spo else [])
         if s is not None and p is not None:
@@ -194,9 +244,11 @@ class InMemoryEngine:
 
     def predicates(self) -> set[Resource]:
         """The set of predicates with at least one triple."""
+        self._ensure_indexes()
         return set(self._by_p)
 
     def predicate_count(self) -> int:
+        self._ensure_indexes()
         return len(self._by_p)
 
     def __len__(self) -> int:
@@ -208,9 +260,11 @@ class InMemoryEngine:
         """Bucket accounting per index: total buckets, empty buckets, and
         the largest bucket — the numbers bucket-size telemetry reports.
 
-        ``empty`` must always be 0: buckets are created only on insert and
+        ``empty`` must always be 0: buckets are created only for a live key
+        (on insert, or by the one-time build from the primary map) and
         removed with their last key, and reads never create them.
         """
+        self._ensure_indexes()
         stats: dict[str, dict[str, int]] = {}
         for name, index in (
             ("s", self._by_s),

@@ -11,6 +11,14 @@ The on-disk counterpart, :class:`~repro.kb.segments.SegmentSnapshot`,
 shares the read contract (:class:`~repro.kb.engine.ReadableStore`) but is
 immutable.
 
+A store pays for its derived state only when it is read.  An insert
+writes the primary ``spo -> Triple`` map and bumps ``version``; the five
+bucket indexes are built by the first pattern read and the content
+``epoch`` by its first read, and both are maintained incrementally from
+then on.  A store that is filled and then only iterated — a build's KB
+on its way to ``--out`` or a segment writer, an ingest delta's rebuilt
+KB on its way to the diff — never hashes a triple or fills a bucket.
+
 Index buckets are insertion-ordered dicts used as ordered sets (value is
 always None), NOT builtin sets: ``match`` results must iterate in an order
 that does not depend on the per-process ``PYTHONHASHSEED``, because callers
@@ -139,8 +147,10 @@ class TripleStore:
         # which is what makes cached results safe across engine rebinds to
         # copies, filtered views, freshly loaded stores, and segment
         # snapshots.  Deterministic across processes (no randomness, no
-        # builtin hash).
-        self._epoch_acc = EMPTY_EPOCH
+        # builtin hash).  Lazy: None until ``epoch`` is first read, which
+        # sums the live triples once; the sum is order-free, so the value
+        # is the one eager maintenance would have reached.
+        self._epoch_acc: Optional[int] = None
         self._engine = engine if engine is not None else InMemoryEngine()
         self.add_all(triples)
 
@@ -156,16 +166,20 @@ class TripleStore:
             if triple.confidence > existing.confidence:
                 self._engine.replace(key, triple)
                 self._version += 1
-                self._epoch_acc = (
-                    self._epoch_acc
-                    - triple_content_hash(existing)
-                    + triple_content_hash(triple)
-                ) & _EPOCH_MASK
+                if self._epoch_acc is not None:
+                    self._epoch_acc = (
+                        self._epoch_acc
+                        - triple_content_hash(existing)
+                        + triple_content_hash(triple)
+                    ) & _EPOCH_MASK
                 return 2
             return 0
         self._engine.insert(key, triple)
         self._version += 1
-        self._epoch_acc = (self._epoch_acc + triple_content_hash(triple)) & _EPOCH_MASK
+        if self._epoch_acc is not None:
+            self._epoch_acc = (
+                self._epoch_acc + triple_content_hash(triple)
+            ) & _EPOCH_MASK
         return 1
 
     def add(self, triple: Triple) -> bool:
@@ -220,9 +234,10 @@ class TripleStore:
             return False
         self._engine.delete(key)
         self._version += 1
-        self._epoch_acc = (
-            self._epoch_acc - triple_content_hash(existing)
-        ) & _EPOCH_MASK
+        if self._epoch_acc is not None:
+            self._epoch_acc = (
+                self._epoch_acc - triple_content_hash(existing)
+            ) & _EPOCH_MASK
         return True
 
     def merge(self, other: "TripleStore") -> MutationCounts:
@@ -263,8 +278,23 @@ class TripleStore:
         identical-content store (however it was built, including a
         segment snapshot of the same KB) shares the epoch and therefore
         starts with a warm cache.
+
+        The first read sums every live triple's content hash
+        (:meth:`_sum_epoch`); later mutations keep the sum current.  That
+        first read iterates the store, so against concurrent writers it
+        must run under the writers' lock (the serving engine reads it
+        when it binds a store).
         """
+        if self._epoch_acc is None:
+            self._epoch_acc = self._sum_epoch()
         return epoch_hex(self._epoch_acc)
+
+    def _sum_epoch(self) -> int:
+        """The multiset-hash accumulator over the live triples."""
+        accumulator = EMPTY_EPOCH
+        for triple in self._engine.triples():
+            accumulator += triple_content_hash(triple)
+        return accumulator & _EPOCH_MASK
 
     @property
     def engine(self) -> InMemoryEngine:
@@ -333,8 +363,10 @@ class TripleStore:
         """Per-index bucket telemetry (buckets / empty / largest).
 
         ``empty`` is pinned to 0 by the engine invariant: buckets are
-        created on insert only and dropped with their last key, and reads
-        never auto-vivify (the indexes are plain dicts, not defaultdicts).
+        created only for a live key and dropped with their last key, and
+        reads never auto-vivify (the indexes are plain dicts, not
+        defaultdicts).  Like every pattern read, the first call builds the
+        indexes.
         """
         return self._engine.index_stats()
 

@@ -101,8 +101,8 @@ class PageExtractor:
     """The per-page fact extraction context.
 
     Holds the extractor instances (infobox, patterns) alongside the
-    resolver and gazetteer so they are constructed once per builder, not
-    once per page.
+    resolver and gazetteer so they are constructed once per extraction
+    run, not once per page.
     """
 
     def __init__(self, resolver: NameResolver, config: BuildConfig) -> None:
@@ -167,7 +167,6 @@ class KnowledgeBaseBuilder:
         self.aliases = aliases
         self.config = config if config is not None else BuildConfig()
         self.resolver = _build_resolver(wiki, aliases)
-        self._extractor = PageExtractor(self.resolver, self.config)
 
     # -------------------------------------------------------------- stages
 
@@ -276,10 +275,15 @@ class KnowledgeBaseBuilder:
         return kb, report
 
     def _extract_pages(self) -> list[Candidate]:
-        """Per-page extraction, in page-title order."""
+        """Per-page extraction, in page-title order.
+
+        The extractor is built here, not with the builder: a build handed
+        its candidates (every ingest delta) never extracts.
+        """
+        extractor = PageExtractor(self.resolver, self.config)
         candidates: list[Candidate] = []
         for title in sorted(self.wiki.pages):
-            candidates.extend(self._extractor.extract(self.wiki.pages[title]))
+            candidates.extend(extractor.extract(self.wiki.pages[title]))
         return candidates
 
 

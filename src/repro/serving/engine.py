@@ -141,11 +141,12 @@ class QueryEngine:
     """A cached, lock-disciplined read/write front over one store."""
 
     def __init__(self, store: ReadableStore, cache_size: int = 1024) -> None:
-        self._store = store
         self._cache = VersionedLRUCache(cache_size)
         # One lock for cache-miss reads and every write: a computed result
         # reflects exactly one store version, and batched writes are atomic.
         self._lock = threading.RLock()
+        with self._lock:
+            self._bind(store)
         self._stats_lock = threading.Lock()
         self._latency: dict[str, _obs.Histogram] = {}
         self._request_counts: dict[str, int] = {}
@@ -177,7 +178,22 @@ class QueryEngine:
         mutation history (e.g. a ``copy()``) starts warm.
         """
         with self._lock:
-            self._store = store
+            self._bind(store)
+
+    def _bind(self, store: ReadableStore) -> None:
+        """Serve ``store`` from now on; the caller holds the engine lock.
+
+        A mutable store derives its epoch and its indexes on first read
+        (see :class:`~repro.kb.store.TripleStore`).  Reading both here,
+        under the lock every writer takes, means the unlocked
+        ``store.epoch`` read in :meth:`_serve` only ever returns a value
+        the store maintains, and never sums the store while a writer
+        changes it.
+        """
+        if store.mutable:
+            store.epoch
+            store.count()  # the first pattern read builds the indexes
+        self._store = store
 
     # ------------------------------------------------------------- writes
 

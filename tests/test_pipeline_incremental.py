@@ -344,3 +344,65 @@ class TestBuilderStateAndServing:
             rolled.close()
         finally:
             builder.close()
+
+
+def _refuse_triple_hash(monkeypatch):
+    def refuse(triple):
+        raise AssertionError(f"a final store hashed {triple!r}")
+
+    monkeypatch.setattr("repro.kb.store.triple_content_hash", refuse)
+
+
+class TestFinalStoreStaysLazy:
+    """A build and an ingest delta fill the KB store but never read its
+    epoch or pattern indexes, so neither may pay for them: the store
+    hashes no triple and builds no bucket until a caller reads."""
+
+    def test_build_hashes_nothing_and_indexes_on_first_match(
+        self, tmp_path, monkeypatch, small_world, small_wiki
+    ):
+        _refuse_triple_hash(monkeypatch)
+        kb, report = KnowledgeBaseBuilder(
+            small_wiki, aliases=small_world.aliases
+        ).build()
+        assert report.accepted_facts > 0
+        assert len(kb) == len(list(kb))
+        assert not kb.engine.indexed
+        assert list(kb.match(predicate=ns.PREF_LABEL))
+        assert kb.engine.indexed
+        monkeypatch.undo()
+        manifest = write_segments(kb, str(tmp_path / "kb"))
+        assert kb.epoch == manifest["epoch"]
+
+    def test_ingest_delta_hashes_no_store_triple(
+        self, tmp_path, monkeypatch, small_world, small_wiki
+    ):
+        directory = str(tmp_path / "inc")
+        titles = sorted(small_wiki.pages)
+        old = small_wiki.pages[titles[5]]
+        # Keep one sentence and drop the spouse infobox field, so the
+        # delta really flushes a generation.
+        changed = WikiPage(
+            title=old.title,
+            entity=old.entity,
+            document=Document(
+                doc_id=old.document.doc_id,
+                sentences=list(old.document.sentences[:1]),
+            ),
+            infobox={k: v for k, v in old.infobox.items() if k != "spouse"},
+            categories=list(old.categories),
+            interlanguage=dict(old.interlanguage),
+        )
+        with IncrementalBuilder(directory) as builder:
+            builder.ingest(
+                pages=[small_wiki.pages[t] for t in titles],
+                aliases=small_world.aliases,
+            )
+            _refuse_triple_hash(monkeypatch)
+            report = builder.ingest(pages=[changed])
+            monkeypatch.undo()
+        assert report.reextracted_pages == 1
+        assert report.segment is not None
+        modified = build_wiki(small_world)
+        modified.pages[changed.title] = changed
+        assert report.epoch_after == full_build(modified, small_world.aliases).epoch

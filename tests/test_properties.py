@@ -13,6 +13,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.kb import Entity, Pattern, Query, Relation, Triple, TripleStore, Var
+from repro.kb.store import epoch_hex, triple_content_hash
 from repro.nlp import analyze
 from repro.reasoning import WeightedMaxSat
 from repro.reasoning.maxsat import HARD
@@ -208,7 +209,11 @@ class TestTripleStoreInvariants:
 
     @staticmethod
     def _assert_indexes_consistent(store: TripleStore) -> None:
+        # The bucket indexes are lazy: a read builds them before they are
+        # inspected directly below.
+        store.index_stats()
         engine = store.engine
+        assert engine.indexed
         keys = set(engine.keys())
         index_views = {
             "_by_s": engine._by_s,
@@ -285,6 +290,103 @@ class TestTripleStoreInvariants:
                 t.spo() for t in everything
                 if t.predicate == p and t.object == o
             }
+
+
+_churn_entities = st.integers(0, 2).map(lambda i: Entity(f"e:{i}"))
+_churn_relations = st.integers(0, 1).map(lambda i: Relation(f"r:{i}"))
+#: Add/replace/remove/re-add sequences over 18 keys, so most operations
+#: hit a key that is already present or was just removed.
+_churn = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove"]),
+        st.builds(
+            Triple,
+            _churn_entities,
+            _churn_relations,
+            _churn_entities,
+            st.floats(0.0, 1.0).map(lambda c: round(c, 2)),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+#: Every (s, p, o) pattern over that universe: all eight index shapes
+#: (spo, sp, po, s+o, s, p, o, scan), hits and misses alike.
+_all_patterns = list(
+    itertools.product(
+        [None] + [Entity(f"e:{i}") for i in range(3)],
+        [None] + [Relation(f"r:{i}") for i in range(2)],
+        [None] + [Entity(f"e:{i}") for i in range(3)],
+    )
+)
+
+
+def _force(store: TripleStore, how: str) -> None:
+    """Read the store the way ``how`` names, materializing lazy state."""
+    if how == "match":
+        list(store.match(predicate=Relation("r:0")))
+    elif how == "count":
+        store.count(subject=Entity("e:0"))
+    elif how == "index_stats":
+        store.index_stats()
+    else:
+        store.epoch
+
+
+class TestLazyStoreEqualsEager:
+    """A store whose indexes and epoch materialize on a later read (or
+    only at the comparison) is indistinguishable from one that read both
+    before its first add: same match order for every pattern shape, same
+    epoch, version and bucket accounting.  Both are also held to a
+    brute-force oracle (an insertion-ordered ``spo -> Triple`` dict), so
+    a maintenance bug the two would share cannot pass either."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _churn,
+        st.one_of(st.none(), st.integers(0, 60)),
+        st.sampled_from(["match", "count", "index_stats", "epoch"]),
+    )
+    def test_lazy_matches_eager(self, operations, force_at, how):
+        eager = TripleStore()
+        eager.epoch
+        eager.index_stats()
+        assert eager.engine.indexed
+        lazy = TripleStore()
+        oracle: dict[tuple, Triple] = {}
+        for step, (action, triple) in enumerate(operations):
+            if step == force_at:
+                _force(lazy, how)
+            if action == "add":
+                assert lazy.add(triple) == eager.add(triple)
+                existing = oracle.get(triple.spo())
+                if existing is None or triple.confidence > existing.confidence:
+                    oracle[triple.spo()] = triple
+            else:
+                assert lazy.remove(triple) == eager.remove(triple)
+                oracle.pop(triple.spo(), None)
+        if force_at is None or force_at >= len(operations):
+            assert not lazy.engine.indexed
+            assert lazy._epoch_acc is None
+        for s, p, o in _all_patterns:
+            expected = [
+                repr(t) for t in oracle.values()
+                if (s is None or t.subject == s)
+                and (p is None or t.predicate == p)
+                and (o is None or t.object == o)
+            ]
+            for store in (lazy, eager):
+                assert [repr(t) for t in store.match(s, p, o)] == expected
+                assert store.count(s, p, o) == len(expected)
+        content_epoch = epoch_hex(
+            sum(triple_content_hash(t) for t in oracle.values())
+        )
+        assert lazy.epoch == eager.epoch == content_epoch
+        assert lazy.version == eager.version
+        stats = lazy.index_stats()
+        assert stats == eager.index_stats()
+        assert all(index["empty"] == 0 for index in stats.values())
+        assert lazy.predicates() == eager.predicates()
 
 
 class TestWorldDeterminism:

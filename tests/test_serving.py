@@ -308,42 +308,134 @@ class TestObsIntegration:
             assert field in endpoint["latency_ms"]
 
 
+def _epochs_by_version(store: TripleStore, mutations) -> dict[int, str]:
+    """Replay ``(method, argument)`` mutations on ``store``, which has
+    already read its epoch, recording the epoch at every version."""
+    store.epoch
+    epochs = {store.version: store.epoch}
+    for method, argument in mutations:
+        getattr(store, method)(argument)
+        epochs[store.version] = store.epoch
+    return epochs
+
+
+def _forbid_full_epoch_sum(monkeypatch, store: TripleStore) -> None:
+    def full_sum():
+        raise AssertionError("the store summed its whole epoch while served")
+
+    monkeypatch.setattr(store, "_sum_epoch", full_sum)
+
+
+class TestNeverReadStore:
+    """Binding a store whose lazy epoch and indexes were never read: the
+    engine materializes both under its lock, so no request (and no
+    unlocked ``store.epoch`` read racing a writer) ever sums the store."""
+
+    def test_bind_and_rebind_materialize(self):
+        store = make_store()
+        assert not store.engine.indexed and store._epoch_acc is None
+        engine = QueryEngine(store)
+        assert store.engine.indexed and store._epoch_acc is not None
+        fresh = make_store()
+        engine.rebind(fresh)
+        assert fresh.engine.indexed and fresh._epoch_acc is not None
+
+    def test_requests_and_writes_never_sum_the_store(self, monkeypatch):
+        batches = [
+            (
+                "add_all",
+                [Triple(Entity(f"world:Q{i}"), BORN_IN, Entity("world:C0"), 0.7)],
+            )
+            for i in range(40)
+        ]
+        expected = _epochs_by_version(make_store(), batches)
+        store = make_store()
+        engine = QueryEngine(store)
+        _forbid_full_epoch_sum(monkeypatch, store)
+        seen: list[tuple[int, str]] = []
+        errors: list[BaseException] = []
+
+        def writer():
+            try:
+                for __, batch in batches:
+                    engine.add_all(batch)
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        def reader():
+            try:
+                for __ in range(30):
+                    for payload in (
+                        engine.lookup(predicate=BORN_IN),
+                        engine.query([Pattern(Var("x"), BORN_IN, Var("c"))]),
+                        engine.topk(3, predicate=BORN_IN),
+                        engine.metrics(),
+                        engine.healthz(),
+                    ):
+                        seen.append((payload["kb_version"], payload["kb_epoch"]))
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)]
+        threads += [threading.Thread(target=reader) for __ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+        assert seen
+        for version, epoch in seen:
+            assert expected[version] == epoch, version
+        assert engine.epoch == expected[max(expected)]
+
+
 class TestConcurrencyStress:
     """One writer mutating the store while 8 readers hammer the engine.
 
     Invariants checked per response: the reported ``kb_version`` is >= the
-    store version observed when the request started (no stale reads), and
-    a conjunctive join over an atomically-added triple *pair* binds either
-    both variables or yields nothing (no torn bindings).
+    store version observed when the request started (no stale reads), its
+    ``kb_epoch`` is the epoch an eagerly hashed replay of the same writes
+    has at that version, and a conjunctive join over an atomically-added
+    triple *pair* binds either both variables or yields nothing (no torn
+    bindings).  The store is bound never-read, and may not sum its epoch
+    once served.
     """
 
     READERS = 8
     WRITES = 150
     READS_PER_READER = 250
     SEED = 1306
+    COUNTRY = Entity("world:Atlantis")
 
-    def test_writer_vs_readers(self):
+    def _writes(self):
+        """The writer's mutations in order, as ``(method, argument)``."""
+        for i in range(self.WRITES):
+            person = Entity(f"world:N{i}")
+            city = Entity(f"world:NC{i}")
+            # One atomic batch: readers must never see the person edge
+            # without the city edge.
+            yield "add_all", [
+                Triple(person, BORN_IN, city, confidence=0.8),
+                Triple(city, LOCATED_IN, self.COUNTRY, confidence=0.9),
+            ]
+            if i % 10 == 0:
+                yield "remove", Triple(person, BORN_IN, city, 0.8)
+
+    def test_writer_vs_readers(self, monkeypatch):
+        expected_epochs = _epochs_by_version(make_store(), self._writes())
         store = make_store()
+        assert not store.engine.indexed and store._epoch_acc is None
         engine = QueryEngine(store, cache_size=256)
-        country = Entity("world:Atlantis")
+        _forbid_full_epoch_sum(monkeypatch, store)
+        country = self.COUNTRY
+        identities: list[tuple[int, str]] = []
         errors: list[BaseException] = []
         stop = threading.Event()
 
         def writer():
             try:
-                for i in range(self.WRITES):
-                    person = Entity(f"world:N{i}")
-                    city = Entity(f"world:NC{i}")
-                    # One atomic batch: readers must never see the person
-                    # edge without the city edge.
-                    engine.add_all(
-                        [
-                            Triple(person, BORN_IN, city, confidence=0.8),
-                            Triple(city, LOCATED_IN, country, confidence=0.9),
-                        ]
-                    )
-                    if i % 10 == 0:
-                        engine.remove(Triple(person, BORN_IN, city, 0.8))
+                for method, argument in self._writes():
+                    getattr(engine, method)(argument)
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
             finally:
@@ -379,6 +471,7 @@ class TestConcurrencyStress:
                         payload = engine.topk(5, predicate=BORN_IN)
                         assert payload["count"] >= 5
                     assert payload["kb_version"] >= started_at
+                    identities.append((payload["kb_version"], payload["kb_epoch"]))
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -407,6 +500,8 @@ class TestConcurrencyStress:
             ]
         )
         assert final["count"] == self.WRITES - (self.WRITES + 9) // 10
+        for version, epoch in identities:
+            assert expected_epochs[version] == epoch, version
 
 
 class TestNegativeCaching:
