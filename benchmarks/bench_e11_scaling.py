@@ -18,7 +18,7 @@ from repro.bigdata import MapReduce
 from repro.corpus import CorpusConfig, synthesize
 from repro.determinism import canonical_kb_text
 from repro.eval import print_table
-from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
+from repro.pipeline import KnowledgeBaseBuilder
 from repro.pipeline.builder import PageExtractor
 from repro.world import WorldConfig, generate_world
 
@@ -30,7 +30,7 @@ def _mapreduce_candidates(builder, shards: int):
     order; the build's merge is order-independent, so injecting them
     through ``build(candidates=...)`` yields the serial KB.
     """
-    extractor = PageExtractor(builder.resolver, builder.config)
+    extractor = PageExtractor(builder.resolver)
 
     def mapper(page):
         for candidate in extractor.extract(page):
@@ -133,9 +133,7 @@ def test_e11_extraction_through_mapreduce(benchmark, bench_world, bench_wiki):
         )
 
     unreasoned = KnowledgeBaseBuilder(
-        bench_wiki,
-        aliases=bench_world.aliases,
-        config=BuildConfig(use_consistency=False),
+        bench_wiki, aliases=bench_world.aliases, use_consistency=False
     )
     benchmark(
         lambda: unreasoned.build(
@@ -155,9 +153,8 @@ def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wik
     """The per-page extractor construction cost is gone from the stage
     breakdown (extractors are built once per builder), and map-reduce
     extraction produces the serial KB's bytes on the bench world."""
-    config = BuildConfig(use_consistency=False)
     builder = KnowledgeBaseBuilder(
-        bench_wiki, aliases=bench_world.aliases, config=config
+        bench_wiki, aliases=bench_world.aliases, use_consistency=False
     )
     obs.reset()
     obs.enable()
@@ -189,6 +186,6 @@ def test_e11_extractor_hoisting_and_cross_mode(benchmark, bench_world, bench_wik
 
     benchmark(
         KnowledgeBaseBuilder(
-            bench_wiki, aliases=bench_world.aliases, config=config
+            bench_wiki, aliases=bench_world.aliases, use_consistency=False
         ).build
     )

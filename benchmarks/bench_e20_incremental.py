@@ -5,8 +5,9 @@ always-on KB deployment is judged: a corpus is ingested once, then small
 batches of changed pages arrive and the question is how much cheaper a
 delta ingest is than rebuilding the world from scratch.
 
-* **delta vs full** — for 1% and 10% changed-page batches, time the
-  delta ingest (re-extract only stale pages, re-solve the consistency
+* **delta vs full** — for 1% and 10% changed-page batches (each page's
+  first numeric infobox value bumped by one: a changed fact, with the
+  same name registrations), time the delta ingest (re-extract only stale pages, re-solve the consistency
   components, flush one tombstoned delta generation) against a one-shot
   rebuild of the same final corpus.  The compaction that folds the delta
   generation back into canonical form is timed apart (``compact s``): it
@@ -18,7 +19,8 @@ delta ingest is than rebuilding the world from scratch.
   directory and the rebuild into a fresh directory, so no row carries
   the process's warm-up alone.  The acceptance invariant is asserted on
   every repeat: the compacted incremental directory is byte-identical to
-  the one-shot directory (``diff_segment_dirs == []``);
+  the one-shot directory (``diff_segment_dirs == []``), and the delta
+  wrote records (``added + tombstones > 0``);
 * **no-op floor** — the benchmark loop re-ingests one unchanged page,
   measuring the fixed cost of the incremental machinery itself
   (re-extraction of the batch page, reasoning, empty-delta detection).
@@ -36,7 +38,6 @@ import time
 import pytest
 
 from repro.corpus import build_wiki
-from repro.corpus.document import Document
 from repro.corpus.wiki import WikiPage
 from repro.eval import print_table
 from repro.kb import diff_segment_dirs
@@ -65,16 +66,23 @@ def _e20_world():
     )
 
 
-def _drop_last_sentence(page: WikiPage) -> WikiPage:
-    """A changed page: same registrations, one sentence shorter."""
-    sentences = list(page.document.sentences)
-    if len(sentences) > 1:
-        sentences = sentences[:-1]
+def _numeric_field(page: WikiPage):
+    """The first infobox field holding a number, or None."""
+    return next(
+        (key for key, value in page.infobox.items() if value.isdigit()), None
+    )
+
+
+def _bump_number(page: WikiPage) -> WikiPage:
+    """A changed page: same registrations, one infobox number off by one."""
+    infobox = dict(page.infobox)
+    key = _numeric_field(page)
+    infobox[key] = str(int(infobox[key]) + 1)
     return WikiPage(
         title=page.title,
         entity=page.entity,
-        document=Document(doc_id=page.document.doc_id, sentences=sentences),
-        infobox=dict(page.infobox),
+        document=page.document,
+        infobox=infobox,
         categories=list(page.categories),
         interlanguage=dict(page.interlanguage),
     )
@@ -86,6 +94,7 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
     wiki = build_wiki(world)
     titles = sorted(wiki.pages)
     pages = [wiki.pages[t] for t in titles]
+    editable = [t for t in titles if _numeric_field(wiki.pages[t]) is not None]
 
     base = str(tmp_path / "base")
     t0 = time.perf_counter()
@@ -98,9 +107,7 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
     rows = []
     for fraction in FRACTIONS:
         n_changed = max(1, round(len(titles) * fraction))
-        changed = [
-            _drop_last_sentence(wiki.pages[t]) for t in titles[:n_changed]
-        ]
+        changed = [_bump_number(wiki.pages[t]) for t in editable[:n_changed]]
 
         # The honest comparator: rebuild the *modified* corpus one-shot.
         final = {t: wiki.pages[t] for t in titles}
@@ -128,6 +135,7 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
                     compact=True,
                 )
             full_times.append(time.perf_counter() - t0)
+            assert report.added + report.tombstones > 0
             assert diff_segment_dirs(work, oneshot) == []
         delta_s = statistics.median(delta_times)
         compact_s = statistics.median(compact_times)
@@ -142,6 +150,8 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
             round(full_s / delta_s, 1),
             round(full_s / (delta_s + compact_s), 1),
             report.reextracted_pages,
+            report.added,
+            report.tombstones,
             "yes",
         ])
 
@@ -149,7 +159,8 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
         f"E20: delta ingest vs full rebuild ({len(titles)} pages, "
         f"{seeded.triples} triples)",
         ["delta", "pages", "delta s", "compact s", "full s", "speedup x",
-         "with compact x", "re-extracted", "byte-identical"],
+         "with compact x", "re-extracted", "added", "tombstones",
+         "byte-identical"],
         rows,
     )
     benchmark.extra_info["pages"] = len(titles)
@@ -162,6 +173,8 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
         benchmark.extra_info[f"full_{tag}pct_s"] = row[4]
         benchmark.extra_info[f"speedup_{tag}pct"] = row[5]
         benchmark.extra_info[f"speedup_with_compact_{tag}pct"] = row[6]
+        benchmark.extra_info[f"added_{tag}pct"] = row[8]
+        benchmark.extra_info[f"tombstones_{tag}pct"] = row[9]
     benchmark.extra_info["byte_identical_all_deltas"] = True
 
     # The repeatable loop: re-ingest one unchanged page — the fixed cost

@@ -29,7 +29,7 @@ import pytest
 
 from repro.eval import print_table
 from repro.eval.scenarios import check_floors, evaluate_scenario
-from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
+from repro.pipeline import KnowledgeBaseBuilder
 from repro.world.scenarios import SCENARIOS, build_scenario
 
 _SMOKE = bool(os.environ.get("REPRO_E22_SMOKE"))
@@ -88,9 +88,8 @@ def test_e22_scenario_matrix(benchmark):
     # The repeatable loop: rebuild the baseline profile's KB — the
     # reference cost that every quality number above is paid in.
     bundle = build_scenario("baseline")
-    config = BuildConfig()
     benchmark(
         lambda: KnowledgeBaseBuilder(
-            bundle.wiki, aliases=bundle.world.aliases, config=config
+            bundle.wiki, aliases=bundle.world.aliases
         ).build()
     )

@@ -14,7 +14,7 @@ This lint walks the source tree and flags:
 * ``DET004`` — a call to builtin ``hash()`` (use
   :func:`repro.determinism.stable.stable_hash` instead);
 * ``DET005`` — a parameter default constructed at ``def`` time
-  (``config: BuildConfig = BuildConfig()``): the instance is built once at
+  (``config: WikiConfig = WikiConfig()``): the instance is built once at
   import and shared by every call, so later mutation — or a config class
   gaining mutable fields — silently couples callers.  Use a ``None``
   sentinel and construct inside the body.

@@ -5,8 +5,8 @@ the *real* pipeline (:class:`repro.pipeline.KnowledgeBaseBuilder` — same
 extractors, same temporal scoping, same MaxSat reasoning as ``repro
 build``) and scored against the scenario's gold facts at two stages:
 
-* **extraction** — the merged pre-consistency fact store
-  (``BuildReport.merged_store``), measuring what the harvesters got right
+* **extraction** — the merged pre-consistency facts
+  (``BuildReport.merged``), measuring what the harvesters got right
   before any cleaning;
 * **kb** — the post-reasoning knowledge base, measuring what survives
   consistency reasoning (on ``adversarial_noise`` the gap between the two
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..determinism.stable import canonical_kb_text
-from ..pipeline.builder import BuildConfig, KnowledgeBaseBuilder
+from ..pipeline.builder import KnowledgeBaseBuilder
 from ..world.scenarios import (
     FACT_RELATIONS,
     SCENARIOS,
@@ -109,21 +109,20 @@ QUALITY_FLOORS: dict[str, dict[str, float]] = {
 }
 
 
-def _fact_keys(store) -> set:
-    """(s, p, o) keys of a store's relational facts (the scorable subset)."""
+def _fact_keys(triples) -> set:
+    """(s, p, o) keys of the relational facts (the scorable subset)."""
     return {
         triple.spo()
-        for triple in store
+        for triple in triples
         if triple.predicate in FACT_RELATIONS
     }
 
 
 def _score_stores(
-    score: ScenarioScore, bundle: ScenarioBundle, kb, merged_store
+    score: ScenarioScore, bundle: ScenarioBundle, kb, merged
 ) -> None:
     gold = bundle.gold_fact_keys()
-    if merged_store is not None:
-        score.extraction = precision_recall(_fact_keys(merged_store), gold)
+    score.extraction = precision_recall(_fact_keys(merged), gold)
     score.kb = precision_recall(_fact_keys(kb), gold)
 
 
@@ -159,10 +158,7 @@ def _burst_leg(score: ScenarioScore, bundle: ScenarioBundle, kb) -> None:
 def evaluate_scenario(name: str, burst_leg: bool = True) -> ScenarioScore:
     """Build one scenario through the real pipeline and score it."""
     bundle = build_scenario(name)
-    config = BuildConfig(keep_merged_store=True)
-    builder = KnowledgeBaseBuilder(
-        bundle.wiki, aliases=bundle.world.aliases, config=config
-    )
+    builder = KnowledgeBaseBuilder(bundle.wiki, aliases=bundle.world.aliases)
     started = time.perf_counter()
     kb, report = builder.build()
     elapsed = time.perf_counter() - started
@@ -176,10 +172,8 @@ def evaluate_scenario(name: str, burst_leg: bool = True) -> ScenarioScore:
         knobs=bundle.knobs(),
         fingerprint=bundle.fingerprint(),
     )
-    _score_stores(score, bundle, kb, report.merged_store)
+    _score_stores(score, bundle, kb, report.merged)
     if burst_leg and bundle.spec.incremental_burst:
-        # The delta leg replays the same logical build: the default
-        # config's pinned (byte-affecting) fields match the one-shot's.
         _burst_leg(score, bundle, kb)
     return score
 

@@ -1,10 +1,9 @@
 """End-to-end knowledge-base construction."""
 
-from .builder import BuildConfig, BuildReport, KnowledgeBaseBuilder, emit_segments
+from .builder import BuildReport, KnowledgeBaseBuilder, emit_segments
 from .incremental import IncrementalBuilder, IngestReport, attach_posts
 
 __all__ = [
-    "BuildConfig",
     "BuildReport",
     "IncrementalBuilder",
     "IngestReport",

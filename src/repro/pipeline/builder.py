@@ -5,14 +5,15 @@ supplies the class taxonomy, infobox and sentence extractors supply the
 facts, temporal tagging supplies scopes, interlanguage links supply
 multilingual labels, and MaxSat consistency reasoning cleans the result.
 Every stage runs in-process; per-page extraction walks the pages in title
-order, so a build is a pure function of (wiki, aliases, config).
+order, so a build is a pure function of (wiki, aliases).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from ..kb import Entity, Taxonomy, Triple, TripleStore, ns
 from ..corpus.wiki import Wiki, WikiPage
@@ -37,22 +38,9 @@ from ..extraction.multilingual import label_triples as harvest_labels
 from ..taxonomy.integration import integration_triples as integrate
 
 
-@dataclass(frozen=True, slots=True)
-class BuildConfig:
-    """Pipeline switches."""
-
-    use_infobox: bool = True
-    use_patterns: bool = True
-    use_year_attributes: bool = True
-    use_temporal_scoping: bool = True
-    use_consistency: bool = True
-    use_multilingual: bool = True
-    min_confidence: float = 0.5
-    # Keep a copy of the merged pre-consistency fact store on the report
-    # (``BuildReport.merged_store``) so quality harnesses can score the
-    # extraction stage separately from the reasoned KB.  Observation only —
-    # never byte-affecting.
-    keep_merged_store: bool = False
+#: Merged facts whose noisy-or confidence falls below this are dropped
+#: before consistency reasoning.
+MIN_CONFIDENCE = 0.5
 
 
 @dataclass(slots=True)
@@ -69,31 +57,45 @@ class BuildReport:
     accepted_facts: int = 0
     label_triples: int = 0
     consistency: Optional[ConsistencyReport] = None
-    #: The merged pre-consistency fact store (only when
-    #: ``BuildConfig.keep_merged_store`` is set).
-    merged_store: Optional[TripleStore] = None
+    #: The merged pre-consistency facts in canonical (s, p, o) order: what
+    #: extraction produced before any cleaning, for quality harnesses that
+    #: score the stages apart.
+    merged: list[Triple] = field(default_factory=list)
+
+
+def name_registrations(
+    titles: Iterable[tuple[str, Hashable]],
+    aliases: Optional[Mapping[Hashable, Iterable[str]]],
+) -> Iterator[tuple[str, Hashable, int]]:
+    """Every (name, entity, count) a build's resolver registers, in order.
+
+    Page titles count 5; then each alias form counts 1, except the one
+    that *is* its entity's page title (already registered with full
+    weight) — compared against the title, not positionally, so a
+    single-element alias list still contributes.  Aliases of entities
+    without a page are skipped.  ``titles`` yields (title, entity) pairs.
+    """
+    title_of: dict[Hashable, str] = {}
+    for title, entity in titles:
+        title_of[entity] = title
+        yield title, entity, 5
+    for entity, forms in (aliases or {}).items():
+        title = title_of.get(entity)
+        if title is None:
+            continue
+        for form in forms:
+            if form != title:
+                yield form, entity, 1
 
 
 def _build_resolver(
     wiki: Wiki, aliases: Optional[dict[Entity, list[str]]]
 ) -> NameResolver:
-    """The shared resolver construction: page titles plus alias forms.
-
-    Every alias form resolves except the one that *is* the page title
-    (already registered with full weight) — comparing against the title,
-    not positionally, so a single-element alias list still contributes.
-    """
+    """The resolver of a build: page titles plus alias forms."""
     resolver = NameResolver()
-    for title, page in wiki.pages.items():
-        resolver.add(title, page.entity, count=5)
-    if aliases:
-        for entity, forms in aliases.items():
-            title = wiki.by_entity.get(entity)
-            if title is None:
-                continue
-            for form in forms:
-                if form != title:
-                    resolver.add(form, entity)
+    pages = ((title, page.entity) for title, page in wiki.pages.items())
+    for name, entity, count in name_registrations(pages, aliases):
+        resolver.add(name, entity, count=count)
     return resolver
 
 
@@ -105,68 +107,69 @@ class PageExtractor:
     run, not once per page.
     """
 
-    def __init__(self, resolver: NameResolver, config: BuildConfig) -> None:
+    def __init__(self, resolver: NameResolver) -> None:
         self.resolver = resolver
-        self.config = config
         self.gazetteer = resolver.to_gazetteer()
         self.infobox = InfoboxExtractor(resolver)
         self.patterns = PatternExtractor()
 
     def extract(self, page: WikiPage) -> list[Candidate]:
         """All fact candidates one page contributes (the map function)."""
-        candidates: list[Candidate] = []
-        if self.config.use_infobox:
-            with _obs.span("pipeline.extract.infobox") as tracing:
-                extracted = self.infobox.extract_page(page)
-                tracing.add("candidates", len(extracted))
+        with _obs.span("pipeline.extract.infobox") as tracing:
+            candidates = self.infobox.extract_page(page)
+            tracing.add("candidates", len(candidates))
+        with _obs.span("pipeline.extract.sentences") as tracing:
+            pattern_found = 0
+            year_found = 0
+            for sentence in page.document.sentences:
+                analysis = analyze(sentence.text, self.gazetteer)
+                extracted = self.patterns.extract(
+                    list(sentence_occurrences(analysis, self.resolver))
+                )
+                pattern_found += len(extracted)
                 candidates.extend(extracted)
-        if self.config.use_patterns or self.config.use_year_attributes:
-            with _obs.span("pipeline.extract.sentences") as tracing:
-                pattern_found = 0
-                year_found = 0
-                for sentence in page.document.sentences:
-                    analysis = analyze(sentence.text, self.gazetteer)
-                    if self.config.use_patterns:
-                        occurrences = list(
-                            sentence_occurrences(analysis, self.resolver)
+                for triple in extract_year_attributes(
+                    page.entity, sentence.text
+                ):
+                    year_found += 1
+                    candidates.append(
+                        Candidate(
+                            subject=triple.subject,
+                            relation=triple.predicate,
+                            object=triple.object,
+                            confidence=triple.confidence,
+                            extractor="year-attributes",
+                            evidence=sentence.text,
                         )
-                        extracted = self.patterns.extract(occurrences)
-                        pattern_found += len(extracted)
-                        candidates.extend(extracted)
-                    if self.config.use_year_attributes:
-                        for triple in extract_year_attributes(
-                            page.entity, sentence.text
-                        ):
-                            year_found += 1
-                            candidates.append(
-                                Candidate(
-                                    subject=triple.subject,
-                                    relation=triple.predicate,
-                                    object=triple.object,
-                                    confidence=triple.confidence,
-                                    extractor="year-attributes",
-                                    evidence=sentence.text,
-                                )
-                            )
-                tracing.add("sentences", len(page.document.sentences))
-                tracing.add("patterns", pattern_found)
-                tracing.add("year_attributes", year_found)
+                    )
+            tracing.add("sentences", len(page.document.sentences))
+            tracing.add("patterns", pattern_found)
+            tracing.add("year_attributes", year_found)
         return candidates
 
 
 class KnowledgeBaseBuilder:
-    """Build a KB from an encyclopedia."""
+    """Build a KB from an encyclopedia.
+
+    ``use_consistency=False`` skips MaxSat reasoning and keeps every merged
+    fact (the unreasoned baseline of the scaling benchmark).
+    """
 
     def __init__(
         self,
         wiki: Wiki,
         aliases: Optional[dict[Entity, list[str]]] = None,
-        config: Optional[BuildConfig] = None,
+        use_consistency: bool = True,
     ) -> None:
         self.wiki = wiki
         self.aliases = aliases
-        self.config = config if config is not None else BuildConfig()
-        self.resolver = _build_resolver(wiki, aliases)
+        self.use_consistency = use_consistency
+
+    @cached_property
+    def resolver(self) -> NameResolver:
+        """The name resolver, built on first use: a build handed its
+        candidates (every ingest delta) never reads it."""
+        return _build_resolver(self.wiki, self.aliases)
 
     # -------------------------------------------------------------- stages
 
@@ -224,24 +227,21 @@ class KnowledgeBaseBuilder:
                     )
 
             # 3. Temporal scoping from the evidence sentences.
-            if self.config.use_temporal_scoping:
-                with _obs.span("pipeline.temporal") as tracing:
-                    before = sum(1 for c in candidates if c.scope is not None)
-                    candidates = attach_scopes(candidates)
-                    scoped = sum(1 for c in candidates if c.scope is not None)
-                    tracing.add("scoped", scoped - before)
+            with _obs.span("pipeline.temporal") as tracing:
+                before = sum(1 for c in candidates if c.scope is not None)
+                candidates = attach_scopes(candidates)
+                scoped = sum(1 for c in candidates if c.scope is not None)
+                tracing.add("scoped", scoped - before)
 
             with _obs.span("pipeline.merge"):
-                facts = candidates_to_store(
-                    candidates, self.config.min_confidence
+                facts = report.merged = candidates_to_store(
+                    candidates, MIN_CONFIDENCE
                 )
                 report.merged_facts = len(facts)
-                if self.config.keep_merged_store:
-                    report.merged_store = TripleStore(facts)
 
             # 4. Consistency reasoning against the harvested + schema
             #    taxonomy.
-            if self.config.use_consistency:
+            if self.use_consistency:
                 with _obs.span("pipeline.consistency") as tracing:
                     with _obs.span("pipeline.consistency.taxonomy"):
                         taxonomy = Taxonomy(
@@ -255,12 +255,10 @@ class KnowledgeBaseBuilder:
             report.accepted_facts = len(facts)
 
             # 5. Multilingual labels.
-            labels: list[Triple] = []
-            if self.config.use_multilingual:
-                with _obs.span("pipeline.multilingual") as tracing:
-                    labels = harvest_labels(self.wiki)
-                    report.label_triples = len(labels)
-                    tracing.add("labels", report.label_triples)
+            with _obs.span("pipeline.multilingual") as tracing:
+                labels = harvest_labels(self.wiki)
+                report.label_triples = len(labels)
+                tracing.add("labels", report.label_triples)
             with _obs.span("pipeline.labels"):
                 pref_labels = [
                     Triple(page.entity, ns.PREF_LABEL, _literal(title))
@@ -280,7 +278,7 @@ class KnowledgeBaseBuilder:
         The extractor is built here, not with the builder: a build handed
         its candidates (every ingest delta) never extracts.
         """
-        extractor = PageExtractor(self.resolver, self.config)
+        extractor = PageExtractor(self.resolver)
         candidates: list[Candidate] = []
         for title in sorted(self.wiki.pages):
             candidates.extend(extractor.extract(self.wiki.pages[title]))

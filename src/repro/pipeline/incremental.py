@@ -29,7 +29,7 @@ batch, which in turn equals a full batch rebuild of the same corpus.  The
 delta path is a pure optimization, never a semantic fork.
 
 Why it holds: the full pipeline output is a pure function of (pages,
-aliases, config); cached candidate lists are exact (extraction is per-page
+aliases); cached candidate lists are exact (extraction is per-page
 given the resolver, and every page whose resolver *view* could have
 changed is re-extracted — see :meth:`IncrementalBuilder._affected_titles`);
 and every downstream stage (noisy-or merge, canonical-order store
@@ -61,11 +61,10 @@ from ..kb.store import EMPTY_EPOCH, epoch_hex
 from ..nlp.tokenizer import tokenize
 from ..obs import core as _obs
 from .builder import (
-    BuildConfig,
     BuildReport,
     KnowledgeBaseBuilder,
     PageExtractor,
-    _build_resolver,
+    name_registrations,
 )
 
 #: Name of the builder's persisted state file inside the segment directory.
@@ -74,21 +73,7 @@ from .builder import (
 #: stale-file cleanup leaves it alone.
 STATE_NAME = "INGEST_STATE.json"
 
-STATE_VERSION = 2
-
-#: BuildConfig fields that change the *bytes* of the output KB.  They are
-#: pinned in the state file: mixing configs across ingests would silently
-#: break the incremental == full-rebuild invariant, so it is an error.
-#: ``keep_merged_store`` is observation only and may vary between ingests.
-_PINNED_CONFIG = (
-    "use_infobox",
-    "use_patterns",
-    "use_year_attributes",
-    "use_temporal_scoping",
-    "use_consistency",
-    "use_multilingual",
-    "min_confidence",
-)
+STATE_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -195,10 +180,9 @@ def _page_from(title: str, record: dict) -> WikiPage:
     )
 
 
-def _fresh_state(config: BuildConfig) -> dict:
+def _fresh_state() -> dict:
     return {
         "state_version": STATE_VERSION,
-        "config": {name: getattr(config, name) for name in _PINNED_CONFIG},
         "pages": {},
         "aliases": {},
         "retracted": [],
@@ -218,14 +202,8 @@ class IncrementalBuilder:
     extraction candidates and the cumulative curated-retraction set.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        config: Optional[BuildConfig] = None,
-        compact_threshold: int = 4,
-    ) -> None:
+    def __init__(self, directory: str, compact_threshold: int = 4) -> None:
         self.directory = directory
-        self.config = config if config is not None else BuildConfig()
         self.store = SegmentStore(directory, compact_threshold=compact_threshold)
         self.state = self._load_state()
 
@@ -237,20 +215,13 @@ class IncrementalBuilder:
 
     def _load_state(self) -> dict:
         if not os.path.exists(self._state_path):
-            return _fresh_state(self.config)
+            return _fresh_state()
         with open(self._state_path, "r", encoding="utf-8") as handle:
             state = json.load(handle)
         if state.get("state_version") != STATE_VERSION:
             raise ValueError(
                 f"unsupported ingest state version: "
                 f"{state.get('state_version')!r}"
-            )
-        pinned = {name: getattr(self.config, name) for name in _PINNED_CONFIG}
-        if state["config"] != pinned:
-            raise ValueError(
-                "ingest config mismatch: this segment directory was built "
-                f"with {state['config']!r}, not {pinned!r} — mixed configs "
-                "would break incremental == full-rebuild"
             )
         return state
 
@@ -277,32 +248,21 @@ class IncrementalBuilder:
     # ------------------------------------------------------------ anchoring
 
     def _registrations(self) -> dict[str, dict[str, int]]:
-        """The resolver's registration map implied by the current state.
-
-        Mirrors :func:`repro.pipeline.builder._build_resolver` exactly:
-        titles count 5, alias forms count 1 each, title-equal forms and
-        page-less entities skipped.  Diffing this map across a batch is
-        how affected names are found.
+        """The resolver's registration map implied by the current state:
+        name -> entity text -> summed count, by the build's own rule
+        (:func:`repro.pipeline.builder.name_registrations`).  Diffing this
+        map across a batch is how affected names are found.
         """
         registrations: dict[str, dict[str, int]] = {}
-
-        def register(name: str, entity_text: str, count: int) -> None:
+        titles = (
+            (title, record["entity"])
+            for title, record in self.state["pages"].items()
+        )
+        for name, entity_text, count in name_registrations(
+            titles, self.state["aliases"]
+        ):
             entry = registrations.setdefault(name, {})
             entry[entity_text] = entry.get(entity_text, 0) + count
-
-        titles_by_entity = {
-            record["entity"]: title
-            for title, record in self.state["pages"].items()
-        }
-        for title, record in self.state["pages"].items():
-            register(title, record["entity"], 5)
-        for entity_text, forms in self.state["aliases"].items():
-            title = titles_by_entity.get(entity_text)
-            if title is None:
-                continue
-            for form in forms:
-                if form != title:
-                    register(form, entity_text, 1)
         return registrations
 
     def _wiki(self) -> Wiki:
@@ -419,11 +379,9 @@ class IncrementalBuilder:
             report.reextracted_pages = len(stale)
             report.cached_pages = report.total_pages - len(stale)
             wiki = self._wiki()
-            alias_map = self._alias_map()
+            builder = KnowledgeBaseBuilder(wiki, aliases=self._alias_map())
             if stale:
-                extractor = PageExtractor(
-                    _build_resolver(wiki, alias_map), self.config
-                )
+                extractor = PageExtractor(builder.resolver)
                 for title in sorted(stale):
                     self.state["pages"][title]["candidates"] = [
                         _candidate_record(candidate)
@@ -440,9 +398,6 @@ class IncrementalBuilder:
 
             # Rebuild the logical KB through the unchanged downstream
             # stages.
-            builder = KnowledgeBaseBuilder(
-                wiki, aliases=alias_map, config=self.config
-            )
             kb, report.build = builder.build(candidates=candidates)
             if report.build.consistency is not None:
                 report.components = report.build.consistency.components

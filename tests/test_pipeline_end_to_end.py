@@ -11,7 +11,7 @@ from repro.extraction import (
     merge_candidates,
 )
 from repro.kb import Entity, Relation, Taxonomy, TimeSpan, ns
-from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
+from repro.pipeline import KnowledgeBaseBuilder
 from repro.world import schema as ws
 
 FACT_RELATIONS = {s.relation for s in ws.RELATION_SPECS} | set(ws.LITERAL_RELATIONS)
@@ -85,7 +85,7 @@ class TestEndToEndBuild:
 
         serial_kb, __ = built
         builder = KnowledgeBaseBuilder(wiki, aliases=world.aliases)
-        extractor = PageExtractor(builder.resolver, builder.config)
+        extractor = PageExtractor(builder.resolver)
 
         def mapper(page):
             for candidate in extractor.extract(page):
@@ -127,9 +127,8 @@ class TestEndToEndBuild:
 
 class TestAblations:
     def test_no_consistency_lowers_precision(self, world, wiki):
-        noisy_config = BuildConfig(use_consistency=False)
         kb, __ = KnowledgeBaseBuilder(
-            wiki, aliases=world.aliases, config=noisy_config
+            wiki, aliases=world.aliases, use_consistency=False
         ).build()
         facts = [t for t in kb if t.predicate in FACT_RELATIONS]
         correct = sum(
@@ -138,14 +137,6 @@ class TestAblations:
         )
         raw_precision = correct / len(facts)
         assert raw_precision <= 1.0  # sanity; detailed comparison in E4
-
-    def test_infobox_only_build(self, world, wiki):
-        config = BuildConfig(use_patterns=False, use_year_attributes=False)
-        kb, report = KnowledgeBaseBuilder(
-            wiki, aliases=world.aliases, config=config
-        ).build()
-        assert report.pattern_candidates == 0
-        assert report.infobox_candidates > 0
 
 
 class TestBuildDeterminismUnderTracing:
@@ -275,18 +266,11 @@ class TestOneStoreBuild:
         assert (_insertion_digest(kb), kb.epoch, len(kb)) == self.PINNED[name]
         assert kb.version == len(kb)  # every add was new: no replacements
 
-    @pytest.mark.parametrize("keep_merged_store, stores", [(False, 1), (True, 2)])
-    def test_build_constructs_one_store(
-        self, monkeypatch, world_seed7, keep_merged_store, stores
-    ):
+    def test_build_constructs_one_store(self, monkeypatch, world_seed7):
         from repro.kb import TripleStore
 
         world, wiki = world_seed7
-        builder = KnowledgeBaseBuilder(
-            wiki,
-            aliases=world.aliases,
-            config=BuildConfig(keep_merged_store=keep_merged_store),
-        )
+        builder = KnowledgeBaseBuilder(wiki, aliases=world.aliases)
         constructed = []
         original = TripleStore.__init__
 
@@ -296,11 +280,8 @@ class TestOneStoreBuild:
 
         monkeypatch.setattr(TripleStore, "__init__", counting_init)
         kb, report = builder.build()
-        assert len(constructed) == stores
-        assert constructed[-1] is kb
-        if keep_merged_store:
-            assert constructed[0] is report.merged_store
-            assert len(report.merged_store) == report.merged_facts
+        assert constructed == [kb]
+        assert len(report.merged) == report.merged_facts
 
     def test_store_adds_are_the_triples_offered_to_the_kb(self, world_seed7):
         from repro import obs
@@ -399,18 +380,14 @@ class TestAliasRegistration:
         entity = world.people[0]
         title = wiki.by_entity[entity]
         alias = "The " + title
-        builder = KnowledgeBaseBuilder(
-            wiki, aliases={entity: [alias]}, config=BuildConfig()
-        )
+        builder = KnowledgeBaseBuilder(wiki, aliases={entity: [alias]})
         assert builder.resolver.resolve(alias) == entity
 
     def test_title_equal_form_not_double_registered(self, world, wiki):
         entity = world.people[0]
         title = wiki.by_entity[entity]
-        baseline = KnowledgeBaseBuilder(wiki, config=BuildConfig())
-        builder = KnowledgeBaseBuilder(
-            wiki, aliases={entity: [title]}, config=BuildConfig()
-        )
+        baseline = KnowledgeBaseBuilder(wiki)
+        builder = KnowledgeBaseBuilder(wiki, aliases={entity: [title]})
         assert (
             builder.resolver.entry(title).candidates
             == baseline.resolver.entry(title).candidates

@@ -24,7 +24,6 @@ from repro.kb.segments import (
     write_segments,
 )
 from repro.pipeline import (
-    BuildConfig,
     IncrementalBuilder,
     KnowledgeBaseBuilder,
     attach_posts,
@@ -262,16 +261,6 @@ class TestRetraction:
 
 
 class TestBuilderStateAndServing:
-    def test_config_mismatch_rejected(self, tmp_path, small_wiki):
-        directory = str(tmp_path / "inc")
-        page = small_wiki.pages[sorted(small_wiki.pages)[0]]
-        with IncrementalBuilder(directory) as builder:
-            builder.ingest(pages=[page])
-        with pytest.raises(ValueError, match="config mismatch"):
-            IncrementalBuilder(
-                directory, BuildConfig(use_consistency=False)
-            )
-
     def test_state_holds_no_reasoning_outcomes(self, tmp_path, small_wiki):
         directory = str(tmp_path / "inc")
         page = small_wiki.pages[sorted(small_wiki.pages)[0]]
@@ -279,10 +268,12 @@ class TestBuilderStateAndServing:
             builder.ingest(pages=[page])
         with open(os.path.join(directory, STATE_NAME), encoding="utf-8") as handle:
             state = json.load(handle)
-        assert state["state_version"] == 2
+        assert state["state_version"] == 3
         assert "components" not in state
+        assert "config" not in state
 
-    def test_version_one_state_rejected(self, tmp_path, small_wiki):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_state_version_rejected(self, tmp_path, small_wiki, version):
         directory = str(tmp_path / "inc")
         page = small_wiki.pages[sorted(small_wiki.pages)[0]]
         with IncrementalBuilder(directory) as builder:
@@ -290,7 +281,7 @@ class TestBuilderStateAndServing:
         state_path = os.path.join(directory, STATE_NAME)
         with open(state_path, encoding="utf-8") as handle:
             state = json.load(handle)
-        state["state_version"] = 1
+        state["state_version"] = version
         with open(state_path, "w", encoding="utf-8") as handle:
             json.dump(state, handle)
         with pytest.raises(ValueError, match="unsupported ingest state version"):
@@ -406,3 +397,54 @@ class TestFinalStoreStaysLazy:
         modified = build_wiki(small_world)
         modified.pages[changed.title] = changed
         assert report.epoch_after == full_build(modified, small_world.aliases).epoch
+
+
+def _count_resolver_builds(monkeypatch) -> list:
+    import repro.pipeline.builder as builder_module
+
+    calls = []
+    original = builder_module._build_resolver
+
+    def counting(wiki, aliases):
+        calls.append(len(wiki.pages))
+        return original(wiki, aliases)
+
+    monkeypatch.setattr(builder_module, "_build_resolver", counting)
+    return calls
+
+
+class TestResolverBuiltOnUse:
+    """The name resolver is built at most once per build or ingest, and
+    only when some page is extracted."""
+
+    def test_build_handed_candidates_builds_no_resolver(
+        self, monkeypatch, small_world, small_wiki
+    ):
+        candidates = KnowledgeBaseBuilder(
+            small_wiki, aliases=small_world.aliases
+        )._extract_pages()
+        calls = _count_resolver_builds(monkeypatch)
+        __, report = KnowledgeBaseBuilder(
+            small_wiki, aliases=small_world.aliases
+        ).build(candidates=candidates)
+        assert calls == []
+        assert report.accepted_facts > 0
+
+    def test_ingest_builds_one_resolver_only_when_it_reextracts(
+        self, tmp_path, monkeypatch, small_world, small_wiki
+    ):
+        directory = str(tmp_path / "inc")
+        titles = sorted(small_wiki.pages)
+        with IncrementalBuilder(directory) as builder:
+            builder.ingest(
+                pages=[small_wiki.pages[t] for t in titles],
+                aliases=small_world.aliases,
+            )
+            calls = _count_resolver_builds(monkeypatch)
+            report = builder.ingest(pages=[small_wiki.pages[titles[0]]])
+            assert report.reextracted_pages == 1
+            assert calls == [len(titles)]
+            calls.clear()
+            report = builder.ingest()
+            assert report.reextracted_pages == 0
+            assert calls == []

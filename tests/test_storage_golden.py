@@ -18,7 +18,7 @@ import pytest
 
 from repro.corpus import build_wiki
 from repro.kb import TripleStore, diff_segment_dirs, open_snapshot, write_segments
-from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
+from repro.pipeline import KnowledgeBaseBuilder
 from repro.serving import QueryEngine
 from repro.world import WorldConfig, generate_world
 
@@ -29,9 +29,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "tiny_world_kb")
 def rebuilt_kb():
     world = generate_world(WorldConfig(seed=7, n_people=6))
     wiki = build_wiki(world)
-    kb, _report = KnowledgeBaseBuilder(
-        wiki, aliases=world.aliases, config=BuildConfig()
-    ).build()
+    kb, _report = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
     return kb
 
 
