@@ -50,13 +50,6 @@ class Sentence:
     mentions: list[GoldMention] = field(default_factory=list)
     facts: list[GoldFact] = field(default_factory=list)
 
-    def mention_of(self, entity: Entity) -> Optional[GoldMention]:
-        """The first gold mention of an entity in this sentence, if any."""
-        for mention in self.mentions:
-            if mention.entity == entity:
-                return mention
-        return None
-
     def entities(self) -> set[Entity]:
         """The entities mentioned in this sentence."""
         return {m.entity for m in self.mentions}
@@ -75,12 +68,6 @@ class Document:
     def text(self) -> str:
         """The full document text (sentences joined with spaces)."""
         return " ".join(s.text for s in self.sentences)
-
-    def all_mentions(self) -> Iterator[tuple[Sentence, GoldMention]]:
-        """Every (sentence, mention) pair in order."""
-        for sentence in self.sentences:
-            for mention in sentence.mentions:
-                yield sentence, mention
 
     def all_facts(self) -> Iterator[GoldFact]:
         """Every expressed fact in order (may repeat across sentences)."""

@@ -23,7 +23,6 @@ from .temporal import (
     infer_scope_bounds,
     lifespan_violations,
     scope_candidate,
-    scope_store,
     sentence_scope,
     tag_temporal,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "infer_scope_bounds",
     "lifespan_violations",
     "scope_candidate",
-    "scope_store",
     "sentence_scope",
     "tag_temporal",
     "Alignment",

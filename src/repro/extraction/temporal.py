@@ -123,24 +123,6 @@ def attach_scopes(candidates: Iterable[Candidate]) -> list[Candidate]:
     return scoped
 
 
-def scope_store(store: TripleStore) -> TripleStore:
-    """A copy of a store with scopes inferred from each triple's evidence.
-
-    Works on stores whose triples have their evidence sentence in
-    ``source`` — used by the end-to-end pipeline, which records evidence
-    there before scoping.
-    """
-    result = TripleStore()
-    for triple in store:
-        if triple.predicate in SCOPED_RELATIONS and triple.source:
-            span = sentence_scope(triple.source)
-            if span is not None:
-                result.add(triple.with_scope(span))
-                continue
-        result.add(triple)
-    return result
-
-
 def scope_candidate(candidate: Candidate) -> Optional[TimeSpan]:
     """The scope a candidate's evidence sentence supports, if any."""
     if not candidate.evidence:

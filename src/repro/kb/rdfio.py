@@ -1,4 +1,4 @@
-"""Serialization of triple stores: an N-Triples-like line format and TSV.
+"""Serialization of triple stores: an N-Triples-like line format.
 
 The line format is a pragmatic subset of N-Triples extended with the
 attributes our triples carry (confidence, source, temporal scope), kept
@@ -246,17 +246,3 @@ def load(path: str) -> TripleStore:
         store.add_all(read_ntriples(handle))
     return store
 
-
-def write_tsv(store: Iterable[Triple], handle: TextIO) -> int:
-    """Write subject/predicate/object/confidence columns as TSV."""
-    written = 0
-    for triple in store:
-        columns = [
-            term_to_text(triple.subject),
-            term_to_text(triple.predicate),
-            term_to_text(triple.object),
-            f"{triple.confidence:.6g}",
-        ]
-        handle.write("\t".join(columns) + "\n")
-        written += 1
-    return written

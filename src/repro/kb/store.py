@@ -1,12 +1,12 @@
 """A hash-indexed in-memory triple store.
 
-The store is policy over a pluggable storage engine (see
-:mod:`repro.kb.engine`): deduplication on the (s, p, o) key with
-highest-confidence witness election, the monotonic ``version`` counter,
-the content-chain ``epoch`` identity, and observability.  The default
-engine is :class:`~repro.kb.engine.InMemoryEngine` — three single-position
-indexes (S, P, O) and two composite indexes (SP, PO) so every
-triple-pattern shape resolves to a dictionary lookup rather than a scan.
+The store is policy over a storage engine (see :mod:`repro.kb.engine`):
+deduplication on the (s, p, o) key with highest-confidence witness
+election, the monotonic ``version`` counter, the content-chain ``epoch``
+identity, and observability.  Each store builds its own
+:class:`~repro.kb.engine.InMemoryEngine` — three single-position indexes
+(S, P, O) and two composite indexes (SP, PO) so every triple-pattern
+shape resolves to a dictionary lookup rather than a scan.
 The on-disk counterpart, :class:`~repro.kb.segments.SegmentSnapshot`,
 shares the read contract (:class:`~repro.kb.engine.ReadableStore`) but is
 immutable.
@@ -127,11 +127,7 @@ class TripleStore:
     #: stores (snapshots set this False and are served lock-free).
     mutable = True
 
-    def __init__(
-        self,
-        triples: Iterable[Triple] = (),
-        engine: Optional[InMemoryEngine] = None,
-    ) -> None:
+    def __init__(self, triples: Iterable[Triple] = ()) -> None:
         # Monotonic mutation counter: bumps on every observable change (new
         # triple, higher-confidence witness replacement, removal).  The
         # serving layer keys its result cache on (epoch, version), so a
@@ -151,7 +147,7 @@ class TripleStore:
         # sums the live triples once; the sum is order-free, so the value
         # is the one eager maintenance would have reached.
         self._epoch_acc: Optional[int] = None
-        self._engine = engine if engine is not None else InMemoryEngine()
+        self._engine = InMemoryEngine()
         self.add_all(triples)
 
     # ------------------------------------------------------------------ write

@@ -9,7 +9,11 @@ toolkit, in-process and dependency-free:
   managers that record wall time, per-span counters, and parent/child
   nesting into a trace tree.
 * **Metrics registry** — process-local counters, gauges, and histograms
-  (with p50/p95/max) keyed by dotted names.
+  (with p50/p95/p99/max) keyed by dotted names.  A histogram keeps sparse
+  log-spaced bucket counts, not samples: each percentile is within
+  ``core.ALPHA`` (1%) of the exact nearest-rank sample, count/mean/min/
+  max are exact, and its memory depends on the value range, not on the
+  number of samples.
 * **A near-zero-overhead disabled path** — instrumentation is off by
   default; every instrumented call site checks the module-level
   ``core.ENABLED`` flag before allocating anything, so the hot paths

@@ -246,42 +246,75 @@ def observe(name: str, value: float) -> None:
     histogram.observe(value)
 
 
-class Histogram:
-    """A sample-keeping histogram with percentile summaries.
+#: Relative accuracy of every histogram percentile: a reported value is
+#: within ``ALPHA`` of the exact nearest-rank sample.
+ALPHA = 0.01
+#: Bucket ``i`` holds the positive samples in ``(GAMMA**(i-1), GAMMA**i]``.
+_GAMMA = (1 + ALPHA) / (1 - ALPHA)
+_INV_LOG_GAMMA = 1.0 / math.log(_GAMMA)
 
-    Samples are kept raw (these are per-stage/per-shard series, thousands
-    at most, not per-request streams); percentiles are computed on demand
-    with the nearest-rank rule.
+
+class Histogram:
+    """A bounded histogram: sparse log-spaced bucket counts.
+
+    ``count``, ``sum``, ``mean``, ``min`` and ``max`` are exact.  A
+    percentile follows the nearest-rank rule over the bucket counts and
+    returns its bucket's representative value, clamped to the observed
+    ``[min, max]``: it is within ``ALPHA`` (1%) of the exact nearest-rank
+    sample, and exact for a constant series.  Samples <= 0 share one zero
+    bucket.  Memory depends on the value range — at most
+    ``ceil(log(max / min) / log(GAMMA)) + 2`` buckets — never on the number
+    of samples, so a long-running server can record every request.
     """
 
-    __slots__ = ("name", "values")
+    __slots__ = ("name", "count", "sum", "min", "max", "zeros", "buckets")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.values: list[float] = []
+        self.count = 0
+        self.sum = 0.0
+        self.min = 0.0
+        self.max = 0.0
+        self.zeros = 0
+        #: Bucket index -> number of positive samples in that bucket.
+        self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
+        if self.count:
+            if value < self.min:
+                self.min = value
+            elif value > self.max:
+                self.max = value
+        else:
+            self.min = self.max = value
+        self.count += 1
+        self.sum += value
+        if value > 0:
+            index = math.ceil(math.log(value) * _INV_LOG_GAMMA)
+            self.buckets[index] = self.buckets.get(index, 0) + 1
+        else:
+            self.zeros += 1
 
     @property
     def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
-    @property
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
+        return self.sum / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """The nearest-rank p-th percentile (p in [0, 100])."""
-        if not self.values:
+        """The nearest-rank p-th percentile (p in [0, 100]), within ALPHA."""
+        if not self.count:
             return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+        rank = min(max(1, math.ceil(p / 100.0 * self.count)), self.count)
+        seen = self.zeros
+        value = 0.0
+        if seen < rank:
+            for index in sorted(self.buckets):
+                seen += self.buckets[index]
+                if seen >= rank:
+                    # 2 * GAMMA**index / (GAMMA + 1), the bucket's
+                    # representative, in a form that cannot overflow.
+                    value = (1 + ALPHA) * _GAMMA ** (index - 1)
+                    break
+        return min(max(value, self.min), self.max)
 
     @property
     def p50(self) -> float:

@@ -215,16 +215,6 @@ class KnowledgeBaseBuilder:
                     else:
                         report.pattern_candidates += 1
                 tracing.add("candidates", len(candidates))
-                if _obs.ENABLED:
-                    _obs.count(
-                        "pipeline.candidates.infobox", report.infobox_candidates
-                    )
-                    _obs.count(
-                        "pipeline.candidates.patterns", report.pattern_candidates
-                    )
-                    _obs.count(
-                        "pipeline.candidates.year", report.year_candidates
-                    )
 
             # 3. Temporal scoping from the evidence sentences.
             with _obs.span("pipeline.temporal") as tracing:

@@ -34,11 +34,12 @@ is hash-seed independent per the determinism work), and terms render via
 byte-identical responses across cold cache, warm cache, and any number of
 server threads.
 
-Telemetry: the engine keeps its own always-on counters and latency
-histograms (surfaced by ``/metrics``) and, when ``repro.obs`` is enabled,
-mirrors them into the observability registry as ``serve.request``,
-``serve.cache.{hit,miss}``, and the ``serve.request.latency[.<endpoint>]``
-histograms (milliseconds).
+Telemetry: the engine records each serving number once, always on, and
+``/metrics`` reads it.  Each endpoint has one bounded latency histogram
+(milliseconds, :class:`~repro.obs.core.Histogram`): its ``count`` is the
+endpoint's request count, and its percentiles carry at most 1% relative
+error.  Hit, miss, and negative-hit counts live in the cache's ``stats()``.
+Nothing is mirrored into ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from ..kb.query import Pattern, Query, Slot, Var, slot_to_text
 from ..kb.rdfio import term_from_text, term_to_text
 from ..kb.terms import Entity, Relation, Term
 from ..kb.triple import Triple
-from ..obs import core as _obs
+from ..obs.core import Histogram
 from .cache import MISS, VersionedLRUCache
 
 
@@ -148,8 +149,7 @@ class QueryEngine:
         with self._lock:
             self._bind(store)
         self._stats_lock = threading.Lock()
-        self._latency: dict[str, _obs.Histogram] = {}
-        self._request_counts: dict[str, int] = {}
+        self._latency: dict[str, Histogram] = {}
 
     @property
     def store(self) -> ReadableStore:
@@ -429,7 +429,7 @@ class QueryEngine:
         with self._stats_lock:
             endpoints = {
                 name: {
-                    "requests": self._request_counts.get(name, 0),
+                    "requests": histogram.count,
                     "latency_ms": histogram.summary(),
                 }
                 for name, histogram in self._latency.items()
@@ -454,8 +454,7 @@ class QueryEngine:
         store = self._store
         epoch, version = store.epoch, store.version
         payload = self._cache.get(key, epoch, version)
-        hit = payload is not MISS
-        if not hit:
+        if payload is MISS:
             if store.mutable:
                 with self._lock:
                     # Re-read under the lock: a writer may have advanced
@@ -481,17 +480,8 @@ class QueryEngine:
         with self._stats_lock:
             histogram = self._latency.get(endpoint)
             if histogram is None:
-                histogram = self._latency[endpoint] = _obs.Histogram(endpoint)
+                histogram = self._latency[endpoint] = Histogram(endpoint)
             histogram.observe(elapsed_ms)
-            self._request_counts[endpoint] = self._request_counts.get(endpoint, 0) + 1
-        if _obs.ENABLED:
-            _obs.count("serve.request")
-            _obs.count(f"serve.request.{endpoint}")
-            _obs.count("serve.cache.hit" if hit else "serve.cache.miss")
-            if hit and payload.get("count") == 0:
-                _obs.count("serve.cache.negative_hit")
-            _obs.observe("serve.request.latency", elapsed_ms)
-            _obs.observe(f"serve.request.latency.{endpoint}", elapsed_ms)
         return payload
 
     def __repr__(self) -> str:

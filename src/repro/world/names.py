@@ -286,10 +286,6 @@ class NamePool:
         """A unique prize name."""
         return self._unique(lambda: self._rng.choice(PRIZE_NAMES), self._used)
 
-    def product_name(self, family: str, generation: int) -> str:
-        """A product name within a family, e.g. "Nova 3"."""
-        return f"{family} {generation}"
-
     def book_title(self, place: str) -> str:
         """A unique book title."""
         def make() -> str:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.kb import Entity, Relation, Triple, TripleStore
-from repro.obs.core import Histogram
+from repro.obs.core import ALPHA, Histogram
 
 
 @pytest.fixture(autouse=True)
@@ -102,8 +102,14 @@ class TestMetrics:
         for v in range(1, 101):  # 1..100
             h.observe(float(v))
         assert h.count == 100
-        assert h.p50 == 50.0
-        assert h.p95 == 95.0
+        # Percentiles come from log-spaced buckets: within ALPHA of the
+        # exact nearest-rank sample, while count/mean/min/max stay exact.
+        assert h.p50 == pytest.approx(50.0, rel=ALPHA)
+        assert h.p95 == pytest.approx(95.0, rel=ALPHA)
+        assert h.p99 == pytest.approx(99.0, rel=ALPHA)
+        assert h.percentile(100) == 100.0
+        assert h.percentile(0) == 1.0
+        assert h.min == 1.0
         assert h.max == 100.0
         assert h.mean == pytest.approx(50.5)
 
@@ -112,6 +118,10 @@ class TestMetrics:
         assert h.p50 == 0.0 and h.p95 == 0.0 and h.max == 0.0 and h.mean == 0.0
         h.observe(7.0)
         assert h.p50 == 7.0 and h.p95 == 7.0 and h.max == 7.0
+        h = Histogram("zeros")
+        for _ in range(3):
+            h.observe(0.0)
+        assert h.p50 == 0.0 and h.max == 0.0 and len(h.buckets) == 0
 
     def test_observe_registers_histogram(self):
         obs.enable()

@@ -2,19 +2,22 @@
 
 These tests pit the optimized implementations against tiny brute-force
 oracles on randomly generated inputs — the strongest correctness evidence
-short of proofs for the query engine, the MaxSat solver, and the parser's
-structural invariants.
+short of proofs for the query engine, the MaxSat solver, the parser's
+structural invariants, and the bucketed histogram's error bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kb import Entity, Pattern, Query, Relation, Triple, TripleStore, Var
 from repro.kb.store import epoch_hex, triple_content_hash
 from repro.nlp import analyze
+from repro.obs.core import ALPHA, Histogram
 from repro.reasoning import WeightedMaxSat
 from repro.reasoning.maxsat import HARD
 
@@ -505,3 +508,71 @@ class TestTaxonomyMemoVsBFS:
                 for c in classes:
                     assert taxonomy.is_instance_of(e, c) == (c in types_of(e))
                 got_types.clear()
+
+
+_samples = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e3, allow_subnormal=False),
+    # Wide ranges: any normal magnitude from 1e-300 to 1e300.
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(1.0, 9.99),
+        st.integers(-300, 299),
+    ),
+)
+_series = st.one_of(
+    st.lists(_samples, min_size=1, max_size=200),
+    st.builds(lambda value, n: [value] * n, _samples, st.integers(1, 50)),
+)
+
+
+def _nearest_rank(ordered, p):
+    rank = min(max(1, math.ceil(p / 100.0 * len(ordered))), len(ordered))
+    return ordered[rank - 1]
+
+
+class TestHistogramVsExactPercentiles:
+    """The bucketed histogram against the exact nearest-rank oracle:
+    every percentile within ALPHA, count/mean/min/max exact, and a bucket
+    count bounded by the value range, not the sample count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _series,
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5),
+        st.integers(1, 20),
+    )
+    def test_percentiles_within_alpha(self, series, ps, repeats):
+        histogram = Histogram("h")
+        for value in series:
+            histogram.observe(value)
+        buckets = len(histogram.buckets) + (1 if histogram.zeros else 0)
+        ordered = sorted(series)
+        assert histogram.count == len(series)
+        assert histogram.min == ordered[0]
+        assert histogram.max == ordered[-1]
+        assert histogram.mean == pytest.approx(
+            math.fsum(series) / len(series), rel=1e-9
+        )
+        for p in [0.0, 50.0, 95.0, 99.0, 100.0, *ps]:
+            exact = _nearest_rank(ordered, p)
+            got = histogram.percentile(p)
+            # The 1e-9 slack absorbs float rounding at a bucket boundary,
+            # where the representative is exactly ALPHA away.
+            assert abs(got - exact) <= ALPHA * exact * (1 + 1e-9), (p, got, exact)
+        if len(set(series)) == 1:
+            assert histogram.p50 == histogram.p99 == series[0]
+
+        positive = [value for value in series if value > 0]
+        if positive:
+            gamma = (1 + ALPHA) / (1 - ALPHA)
+            spread = math.log(max(positive)) - math.log(min(positive))
+            assert buckets <= math.ceil(spread / math.log(gamma)) + 2
+        else:
+            assert buckets == 1
+        # More samples over the same values add no buckets.
+        for _ in range(repeats):
+            for value in series:
+                histogram.observe(value)
+        assert len(histogram.buckets) + (1 if histogram.zeros else 0) == buckets
+        assert histogram.count == len(series) * (repeats + 1)

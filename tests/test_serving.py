@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro import obs
 from repro.kb import Entity, Pattern, Query, Relation, Triple, TripleStore, Var
 from repro.kb.rdfio import term_to_text
 from repro.serving import (
@@ -278,24 +277,21 @@ class TestWireParsing:
 
 class TestObsIntegration:
     def test_counters_and_latency_histograms(self, engine):
-        obs.reset()
-        obs.enable()
-        try:
-            engine.lookup(predicate=BORN_IN)
-            engine.lookup(predicate=BORN_IN)
-            engine.topk(2, predicate=BORN_IN)
-            counters = obs.core.counters()
-            histograms = obs.core.histograms()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert counters["serve.request"] == 3
-        assert counters["serve.request.lookup"] == 2
-        assert counters["serve.cache.hit"] == 1
-        assert counters["serve.cache.miss"] == 2
-        assert histograms["serve.request.latency"].count == 3
-        assert histograms["serve.request.latency.lookup"].count == 2
-        assert histograms["serve.request.latency"].p99 >= 0.0
+        engine.lookup(predicate=BORN_IN)
+        engine.lookup(predicate=BORN_IN)
+        engine.topk(2, predicate=BORN_IN)
+        metrics = engine.metrics()
+        endpoints = metrics["endpoints"]
+        assert sorted(endpoints) == ["lookup", "topk"]
+        assert endpoints["lookup"]["requests"] == 2
+        assert endpoints["topk"]["requests"] == 1
+        assert metrics["cache"]["hits"] == 1
+        assert metrics["cache"]["misses"] == 2
+        for endpoint in endpoints.values():
+            latency = endpoint["latency_ms"]
+            assert endpoint["requests"] == latency["count"]
+            assert 0.0 <= latency["p50"] <= latency["p95"] <= latency["p99"]
+            assert latency["p99"] <= latency["max"]
 
     def test_metrics_payload_always_on(self, engine):
         engine.lookup(predicate=BORN_IN)
@@ -548,17 +544,12 @@ class TestNegativeCaching:
         assert stats["negative_hits"] == 1
         assert stats["hits"] == 2
 
-    def test_negative_hits_mirrored_to_obs(self, engine):
-        obs.reset()
-        obs.enable()
-        try:
-            nobody = Entity("world:Nobody")
-            engine.lookup(subject=nobody)
-            engine.lookup(subject=nobody)
-            from repro.obs import core as obs_core
-
-            counters = obs_core.counters()
-            assert counters.get("serve.cache.negative_hit") == 1
-        finally:
-            obs.disable()
-            obs.reset()
+    def test_negative_hits_counted_in_metrics(self, engine):
+        nobody = Entity("world:Nobody")
+        engine.lookup(subject=nobody)
+        engine.lookup(subject=nobody)
+        metrics = engine.metrics()
+        assert metrics["cache"]["negative_hits"] == 1
+        assert metrics["cache"]["hits"] == 1
+        assert metrics["cache"]["misses"] == 1
+        assert metrics["endpoints"]["lookup"]["requests"] == 2
