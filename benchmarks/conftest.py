@@ -93,9 +93,10 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     """Attach a stage-level observability breakdown to saved bench JSON.
 
     Every ``--benchmark-json=BENCH_*.json`` run gains a top-level
-    ``stages`` key (span path, call count, total seconds, stage counters)
-    plus the full ``observability`` export, so regressions can be localized
-    to a pipeline stage without rerunning anything.
+    ``stages`` key (span path, call count, total seconds) plus the full
+    ``observability`` export, whose ``counters`` hold the registry counts,
+    so regressions can be localized to a pipeline stage without rerunning
+    anything.
     """
     report = _instrumented_pipeline_report()
     output_json["stages"] = report["stages"]

@@ -118,7 +118,7 @@ class MapReduce(Generic[I, K, V, R]):
         ``records_per_shard`` is a zero per shard, and ``skew`` is 1.0.
         """
         stats = JobStats(shards=self.shards)
-        with _obs.span("mapreduce.run") as job:
+        with _obs.span("mapreduce.run"):
 
             # Map phase: each mapper output is routed to a shard by key hash.
             shard_buffers: list[dict[K, list[V]]] = [
@@ -172,11 +172,7 @@ class MapReduce(Generic[I, K, V, R]):
                             "mapreduce.shard.reduce_s",
                             time.perf_counter() - shard_t0,
                         )
-            if _obs.ENABLED:
-                job.add("shards", self.shards)
-                job.add("map_input_records", stats.map_input_records)
-                job.add("shuffled_records", stats.shuffled_records)
-                stats.publish()
+            stats.publish()
         return results, stats
 
 

@@ -150,10 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the scores as a JSON document",
     )
-    scenario_eval.add_argument(
-        "--no-burst-leg", action="store_true",
-        help="skip the incremental-ingest leg of burst scenarios",
-    )
 
     stats = commands.add_parser("stats", help="summarize a saved knowledge base")
     stats.add_argument("--kb", required=True)
@@ -298,24 +294,27 @@ def _command_ingest(args, out) -> int:
         )
     finally:
         builder.close()
-    print(
-        f"ingest: batch_pages={report.batch_pages} "
-        f"total_pages={report.total_pages} "
-        f"affected_names={report.affected_names}",
-        file=out,
-    )
-    print(
-        f"extraction: reextracted={report.reextracted_pages} "
-        f"cached_pages={report.cached_pages}",
-        file=out,
-    )
-    print(f"reasoning: components={report.components}", file=out)
-    print(
-        f"delta: segment={report.segment or '-'} added={report.added} "
-        f"tombstones={report.tombstones} retracted={report.retracted} "
-        f"compacted={str(report.compacted).lower()}",
-        file=out,
-    )
+    lines = {
+        "ingest": {
+            "batch_pages": report.batch_pages,
+            "total_pages": report.total_pages,
+            "affected_names": report.affected_names,
+        },
+        "extraction": {
+            "reextracted": report.reextracted_pages,
+            "cached_pages": report.cached_pages,
+        },
+        "reasoning": {"components": report.components},
+        "delta": {
+            "segment": report.segment,
+            "added": report.added,
+            "tombstones": report.tombstones,
+            "retracted": report.retracted,
+            "compacted": report.compacted,
+        },
+    }
+    for prefix, fields in lines.items():
+        print(obs.telemetry_line(prefix, fields), file=out)
     print(
         f"epoch: {report.epoch_before[:12]} -> {report.epoch_after[:12]}",
         file=out,
@@ -357,13 +356,15 @@ def _command_scenario(args, out) -> int:
         kb, report = KnowledgeBaseBuilder(
             bundle.wiki, aliases=bundle.world.aliases
         ).build()
-        print(
-            f"scenario: name={args.name} pages={report.pages} "
-            f"sentences={report.sentences} triples={len(kb)} "
-            f"accepted={report.accepted_facts} "
-            f"fingerprint={bundle.fingerprint()}",
-            file=out,
-        )
+        fields = {
+            "name": args.name,
+            "pages": report.pages,
+            "sentences": report.sentences,
+            "triples": len(kb),
+            "accepted": report.accepted_facts,
+            "fingerprint": bundle.fingerprint(),
+        }
+        print(obs.telemetry_line("scenario", fields), file=out)
         if args.out is not None:
             count = save(kb, args.out)
             print(f"wrote {count} triples to {args.out}", file=out)
@@ -390,7 +391,7 @@ def _command_scenario(args, out) -> int:
         known = ", ".join(SCENARIOS)
         print(f"error: unknown scenario(s) {unknown} (known: {known})", file=out)
         return 2
-    scores = evaluate_matrix(names, burst_leg=not args.no_burst_leg)
+    scores = evaluate_matrix(names)
     for score in scores:
         print(score.telemetry(), file=out)
     violations = check_floors(scores)

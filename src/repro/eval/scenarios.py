@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..determinism.stable import canonical_kb_text
+from ..obs import telemetry_line
 from ..pipeline.builder import KnowledgeBaseBuilder
 from ..world.scenarios import (
     FACT_RELATIONS,
@@ -63,26 +64,24 @@ class ScenarioScore:
 
     def telemetry(self) -> str:
         """The greppable one-line summary (``scenario: key=value ...``)."""
-        parts = [
-            f"name={self.name}",
-            f"pages={self.pages}",
-            f"sentences={self.sentences}",
-            f"triples={self.triples}",
-            f"build_s={self.build_seconds:.3f}",
-            f"extraction_p={self.extraction.precision:.3f}",
-            f"extraction_r={self.extraction.recall:.3f}",
-            f"extraction_f1={self.extraction.f1:.3f}",
-            f"kb_p={self.kb.precision:.3f}",
-            f"kb_r={self.kb.recall:.3f}",
-            f"kb_f1={self.kb.f1:.3f}",
-        ]
+        fields = {
+            "name": self.name,
+            "pages": self.pages,
+            "sentences": self.sentences,
+            "triples": self.triples,
+            "build_s": self.build_seconds,
+            "extraction_p": self.extraction.precision,
+            "extraction_r": self.extraction.recall,
+            "extraction_f1": self.extraction.f1,
+            "kb_p": self.kb.precision,
+            "kb_r": self.kb.recall,
+            "kb_f1": self.kb.f1,
+        }
         if self.incremental_identical is not None:
-            parts.append(
-                f"incremental_identical={str(self.incremental_identical).lower()}"
-            )
-            parts.append(f"ingest_pages={self.ingest_pages}")
-            parts.append(f"ingest_s={self.ingest_seconds:.3f}")
-        return "scenario: " + " ".join(parts)
+            fields["incremental_identical"] = self.incremental_identical
+            fields["ingest_pages"] = self.ingest_pages
+            fields["ingest_s"] = self.ingest_seconds
+        return telemetry_line("scenario", fields)
 
 
 #: Pinned per-scenario quality minimums (F1 against gold facts), set with
@@ -155,7 +154,7 @@ def _burst_leg(score: ScenarioScore, bundle: ScenarioBundle, kb) -> None:
             )
 
 
-def evaluate_scenario(name: str, burst_leg: bool = True) -> ScenarioScore:
+def evaluate_scenario(name: str) -> ScenarioScore:
     """Build one scenario through the real pipeline and score it."""
     bundle = build_scenario(name)
     builder = KnowledgeBaseBuilder(bundle.wiki, aliases=bundle.world.aliases)
@@ -173,18 +172,17 @@ def evaluate_scenario(name: str, burst_leg: bool = True) -> ScenarioScore:
         fingerprint=bundle.fingerprint(),
     )
     _score_stores(score, bundle, kb, report.merged)
-    if burst_leg and bundle.spec.incremental_burst:
+    if bundle.spec.incremental_burst:
         _burst_leg(score, bundle, kb)
     return score
 
 
 def evaluate_matrix(
     names: Optional[Sequence[str]] = None,
-    burst_leg: bool = True,
 ) -> list[ScenarioScore]:
     """Score every (or the named) scenario profile, in registry order."""
     selected = list(names) if names is not None else list(SCENARIOS)
-    return [evaluate_scenario(name, burst_leg=burst_leg) for name in selected]
+    return [evaluate_scenario(name) for name in selected]
 
 
 def check_floors(scores: Sequence[ScenarioScore]) -> list[str]:

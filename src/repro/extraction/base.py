@@ -98,7 +98,7 @@ def merged_triples(
     scope_of: dict[tuple, Candidate] = {}
     all_candidates = list(candidates)
     facts: list[Triple] = []
-    with _obs.span("extract.merge") as merging:
+    with _obs.span("extract.merge"):
         for candidate in all_candidates:
             key = candidate.key()
             best = witness_of.get(key)
@@ -128,11 +128,9 @@ def merged_triples(
                 )
             )
         if _obs.ENABLED:
-            merging.add("candidates", len(all_candidates))
-            merging.add("facts", len(facts))
-            merging.add("below_threshold", dropped)
             _obs.count("extract.candidates", len(all_candidates))
             _obs.count("extract.merged_facts", len(facts))
+            _obs.count("extract.below_threshold", dropped)
             for extractor_name, witnesses in _witness_counts(all_candidates).items():
                 _obs.count(f"extract.candidates.{extractor_name}", witnesses)
     return facts

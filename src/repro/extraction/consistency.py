@@ -114,10 +114,10 @@ class ConsistencyReasoner:
         ``candidates`` is a store, otherwise a list of triples in canonical
         (s, p, o) order — what the pipeline feeds its single final store.
         """
-        with _obs.span("consistency.clean") as cleaning:
+        with _obs.span("consistency.clean"):
             problem, triples, report = self.ground(candidates)
 
-            with _obs.span("consistency.solve") as solving:
+            with _obs.span("consistency.solve"):
                 with _obs.span("maxsat.decompose"):
                     decomposition = decompose(problem)
                 report.components = len(decomposition.components)
@@ -126,9 +126,6 @@ class ConsistencyReasoner:
                 result = solve_decomposed(
                     problem, seed=seed, decomposition=decomposition
                 )
-                solving.add("components", report.components)
-                solving.add("largest_component", report.largest_component)
-                solving.add("trivial_vars", report.trivial_vars)
             report.soft_cost = result.soft_cost
             report.hard_violations = result.hard_violations
             accepted = [
@@ -138,12 +135,6 @@ class ConsistencyReasoner:
             report.accepted = len(accepted)
             report.rejected = len(triples) - report.accepted
             if _obs.ENABLED:
-                cleaning.add("candidates", report.candidates)
-                cleaning.add("accepted", report.accepted)
-                cleaning.add("rejected", report.rejected)
-                cleaning.add("clauses.functional", report.functional_clauses)
-                cleaning.add("clauses.type", report.type_clauses)
-                cleaning.add("clauses.disjoint", report.disjoint_clauses)
                 _obs.count(
                     "consistency.clauses.functional", report.functional_clauses
                 )

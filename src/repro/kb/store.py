@@ -327,10 +327,6 @@ class TripleStore:
             _obs.count("kb.store.match")
             _obs.count(f"kb.store.match.shape.{shape}")
             _obs.observe("kb.store.match.scanned", scanned)
-            # Per-query annotation on the innermost open span: which index
-            # shape served the query and how large the scanned bucket was.
-            _obs.annotate(f"store.match.{shape}")
-            _obs.annotate(f"store.match.{shape}.scanned", scanned)
         if keys is None:
             yield from self._engine.triples()
             return
@@ -350,10 +346,6 @@ class TripleStore:
         if keys is None:
             return len(self._engine)
         return len(keys)
-
-    def _plan(self, s, p, o):
-        """Delegates to the engine's index planner (kept for callers)."""
-        return self._engine.plan(s, p, o)
 
     def index_stats(self) -> dict[str, dict[str, int]]:
         """Per-index bucket telemetry (buckets / empty / largest).

@@ -101,9 +101,8 @@ class NEDSystem:
         """Resolve each mention of one document; returns id -> entity."""
         if method not in METHODS:
             raise ValueError(f"unknown NED method: {method!r}")
-        with _obs.span("ned.disambiguate") as tracing:
+        with _obs.span("ned.disambiguate"):
             if _obs.ENABLED:
-                tracing.add("mentions", len(tasks))
                 _obs.count("ned.mentions", len(tasks))
                 _obs.count(f"ned.mentions.{method}", len(tasks))
             context_words = self.context_index.context_of(context_text)
@@ -143,7 +142,7 @@ class NEDSystem:
                         graph.add_entity_edge(a, b, relatedness)
                         coherence_edges += 1
             if _obs.ENABLED:
-                tracing.add("coherence_edges", coherence_edges)
+                _obs.count("ned.coherence_edges", coherence_edges)
             return graph.solve()
 
     def disambiguate_document(

@@ -8,10 +8,11 @@ threads never race on a shared span stack.
 
 The span stack is explicit: ``span()`` pushes on ``__enter__`` and pops on
 ``__exit__``, attaching each finished span to its parent (or to the
-finished-roots list when the stack empties).  Trace *structure* — names,
-nesting, counter values — is deterministic for a deterministic program;
-only the recorded wall times vary run to run, which is what the pipeline
-determinism test relies on.
+finished-roots list when the stack empties).  A span records a name, its
+nesting and its wall time, nothing else: every count lives in a run's
+report or in one registry counter.  Trace *structure* — names and nesting —
+is deterministic for a deterministic program; only the recorded wall times
+vary run to run, which is what the pipeline determinism test relies on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Optional
 
 #: The master switch.  Read directly (``core.ENABLED``) in hot paths;
 #: flipped only through :func:`enable` / :func:`disable` so the module
@@ -101,37 +101,27 @@ def reset() -> None:
 class Span:
     """One finished or in-flight region of the trace tree."""
 
-    __slots__ = ("name", "elapsed", "counters", "children", "_t0")
+    __slots__ = ("name", "elapsed", "children", "_t0")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.elapsed: float = 0.0
-        self.counters: dict[str, float] = {}
         self.children: list[Span] = []
         self._t0: float = 0.0
 
-    def add(self, counter: str, n: float = 1) -> None:
-        """Increment one of this span's counters."""
-        self.counters[counter] = self.counters.get(counter, 0) + n
-
     def structure(self) -> tuple:
-        """The timing-free shape: (name, counters, child structures).
+        """The timing-free shape: (name, child structures).
 
         Two runs of a deterministic program produce equal structures even
         though their wall times differ.
         """
-        return (
-            self.name,
-            tuple(sorted(self.counters.items())),
-            tuple(child.structure() for child in self.children),
-        )
+        return (self.name, tuple(child.structure() for child in self.children))
 
     def to_dict(self) -> dict:
         """A JSON-able export of this span subtree."""
         return {
             "name": self.name,
             "elapsed_s": self.elapsed,
-            "counters": dict(self.counters),
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -181,9 +171,6 @@ class _NoopSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def add(self, counter: str, n: float = 1) -> None:
-        pass
-
 
 #: The singleton returned by :func:`span` on the disabled path — the call
 #: allocates nothing.
@@ -195,21 +182,6 @@ def span(name: str):
     if not ENABLED:
         return _NOOP
     return _SpanHandle(name)
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span of the calling thread, or None."""
-    stack = _state().stack
-    return stack[-1] if stack else None
-
-
-def annotate(counter: str, n: float = 1) -> None:
-    """Increment a counter on the innermost open span (no-op otherwise)."""
-    if not ENABLED:
-        return
-    stack = _state().stack
-    if stack:
-        stack[-1].add(counter, n)
 
 
 def take_roots() -> list[Span]:
@@ -242,8 +214,11 @@ def observe(name: str, value: float) -> None:
     histograms = _state().histograms
     histogram = histograms.get(name)
     if histogram is None:
-        histogram = histograms[name] = Histogram(name)
+        histogram = Histogram(name)
     histogram.observe(value)
+    # Registered after the sample is accepted: a refused first sample
+    # leaves no empty histogram behind.
+    histograms[name] = histogram
 
 
 #: Relative accuracy of every histogram percentile: a reported value is
@@ -280,6 +255,11 @@ class Histogram:
         self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
+        """Record one sample; a non-finite one is refused, state untouched."""
+        if not math.isfinite(value):
+            raise ValueError(
+                f"histogram {self.name!r}: non-finite sample {value!r}"
+            )
         if self.count:
             if value < self.min:
                 self.min = value

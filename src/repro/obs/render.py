@@ -1,4 +1,5 @@
-"""Presentation of recorded telemetry: trace trees, tables, JSON export.
+"""Presentation of recorded telemetry: trace trees, tables, JSON export,
+and the ``prefix: key=value ...`` telemetry lines the CLI prints.
 
 Rendering happens once, after the traced work finished, so nothing here is
 performance-sensitive.  Sibling spans with the same name (e.g. the per-page
@@ -9,6 +10,7 @@ multiplicity so a 10k-page build still renders as a readable stage tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import core
 from .core import Span
@@ -24,7 +26,6 @@ class MergedSpan:
     name: str
     calls: int = 0
     total: float = 0.0
-    counters: dict[str, float] = field(default_factory=dict)
     children: list["MergedSpan"] = field(default_factory=list)
 
 
@@ -41,8 +42,6 @@ def merge_spans(spans: list[Span]) -> list[MergedSpan]:
         bucket = merged[node.name]
         bucket.calls += 1
         bucket.total += node.elapsed
-        for key, value in node.counters.items():
-            bucket.counters[key] = bucket.counters.get(key, 0) + value
         child_groups[node.name].extend(node.children)
     for name in order:
         merged[name].children = merge_spans(child_groups[name])
@@ -52,14 +51,7 @@ def merge_spans(spans: list[Span]) -> list[MergedSpan]:
 def _flatten(merged: list[MergedSpan], prefix: str, into: list[dict]) -> None:
     for node in merged:
         path = f"{prefix}{node.name}" if not prefix else f"{prefix}/{node.name}"
-        into.append(
-            {
-                "stage": path,
-                "calls": node.calls,
-                "total_s": node.total,
-                "counters": dict(node.counters),
-            }
-        )
+        into.append({"stage": path, "calls": node.calls, "total_s": node.total})
         _flatten(node.children, path, into)
 
 
@@ -97,17 +89,9 @@ def _render_node(
     lines: list[str],
 ) -> None:
     label = node.name if node.calls == 1 else f"{node.name} x{node.calls}"
-    extras = ""
-    if node.counters:
-        pairs = ", ".join(
-            f"{key}={_format_count(value)}"
-            for key, value in sorted(node.counters.items())
-        )
-        extras = f"  [{pairs}]"
     stem = prefix + connector
     lines.append(
-        f"{stem}{label:<{max(1, 46 - len(stem))}} "
-        f"{_format_seconds(node.total)}{extras}"
+        f"{stem}{label:<{max(1, 46 - len(stem))}} {_format_seconds(node.total)}"
     )
     for i, child in enumerate(node.children):
         last = i == len(node.children) - 1
@@ -165,6 +149,26 @@ def render_metrics() -> str:
                 f" {h.mean:>9.3f} {h.p50:>9.3f} {h.p95:>9.3f} {h.max:>9.3f}"
             )
     return "\n".join(lines)
+
+
+def telemetry_line(prefix: str, fields: Mapping[str, object]) -> str:
+    """One greppable ``prefix: key=value key=value`` line.
+
+    A bool renders as ``true``/``false``, ``None`` as ``-``, a float with
+    three decimals, anything else through ``str``.
+    """
+    parts = []
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            text = "true" if value else "false"
+        elif value is None:
+            text = "-"
+        elif isinstance(value, float):
+            text = f"{value:.3f}"
+        else:
+            text = str(value)
+        parts.append(f"{key}={text}")
+    return f"{prefix}: " + " ".join(parts)
 
 
 # ------------------------------------------------------------------ export

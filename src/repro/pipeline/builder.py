@@ -115,23 +115,19 @@ class PageExtractor:
 
     def extract(self, page: WikiPage) -> list[Candidate]:
         """All fact candidates one page contributes (the map function)."""
-        with _obs.span("pipeline.extract.infobox") as tracing:
+        with _obs.span("pipeline.extract.infobox"):
             candidates = self.infobox.extract_page(page)
-            tracing.add("candidates", len(candidates))
-        with _obs.span("pipeline.extract.sentences") as tracing:
-            pattern_found = 0
-            year_found = 0
+        with _obs.span("pipeline.extract.sentences"):
             for sentence in page.document.sentences:
                 analysis = analyze(sentence.text, self.gazetteer)
-                extracted = self.patterns.extract(
-                    list(sentence_occurrences(analysis, self.resolver))
+                candidates.extend(
+                    self.patterns.extract(
+                        list(sentence_occurrences(analysis, self.resolver))
+                    )
                 )
-                pattern_found += len(extracted)
-                candidates.extend(extracted)
                 for triple in extract_year_attributes(
                     page.entity, sentence.text
                 ):
-                    year_found += 1
                     candidates.append(
                         Candidate(
                             subject=triple.subject,
@@ -142,9 +138,6 @@ class PageExtractor:
                             evidence=sentence.text,
                         )
                     )
-            tracing.add("sentences", len(page.document.sentences))
-            tracing.add("patterns", pattern_found)
-            tracing.add("year_attributes", year_found)
         return candidates
 
 
@@ -188,23 +181,19 @@ class KnowledgeBaseBuilder:
         report.sentences = sum(
             len(p.document.sentences) for p in self.wiki.pages.values()
         )
-        with _obs.span("pipeline.build") as building:
-            building.add("pages", report.pages)
-            building.add("sentences", report.sentences)
-
+        with _obs.span("pipeline.build"):
             # Every stage emits a triple list in canonical (s, p, o) order;
             # the KB is the one store of the build, filled once at the end.
             with _obs.span("pipeline.schema"):
                 schema = ws.SCHEMA_TRIPLES
 
             # 1. Classes: category integration (types + subclass hierarchy).
-            with _obs.span("pipeline.taxonomy") as tracing:
+            with _obs.span("pipeline.taxonomy"):
                 type_triples, __ = integrate(self.wiki)
                 report.type_triples = len(type_triples)
-                tracing.add("type_triples", report.type_triples)
 
             # 2. Facts: per-page extraction.
-            with _obs.span("pipeline.extract") as tracing:
+            with _obs.span("pipeline.extract"):
                 if candidates is None:
                     candidates = self._extract_pages()
                 for candidate in candidates:
@@ -214,14 +203,10 @@ class KnowledgeBaseBuilder:
                         report.year_candidates += 1
                     else:
                         report.pattern_candidates += 1
-                tracing.add("candidates", len(candidates))
 
             # 3. Temporal scoping from the evidence sentences.
-            with _obs.span("pipeline.temporal") as tracing:
-                before = sum(1 for c in candidates if c.scope is not None)
+            with _obs.span("pipeline.temporal"):
                 candidates = attach_scopes(candidates)
-                scoped = sum(1 for c in candidates if c.scope is not None)
-                tracing.add("scoped", scoped - before)
 
             with _obs.span("pipeline.merge"):
                 facts = report.merged = candidates_to_store(
@@ -232,23 +217,19 @@ class KnowledgeBaseBuilder:
             # 4. Consistency reasoning against the harvested + schema
             #    taxonomy.
             if self.use_consistency:
-                with _obs.span("pipeline.consistency") as tracing:
+                with _obs.span("pipeline.consistency"):
                     with _obs.span("pipeline.consistency.taxonomy"):
                         taxonomy = Taxonomy(
                             chain(schema, type_triples, _bridged_types(self.wiki))
                         )
                     reasoner = ConsistencyReasoner(taxonomy)
                     facts, report.consistency = reasoner.clean(facts)
-                    tracing.add("accepted", report.consistency.accepted)
-                    tracing.add("rejected", report.consistency.rejected)
-                    tracing.add("components", report.consistency.components)
             report.accepted_facts = len(facts)
 
             # 5. Multilingual labels.
-            with _obs.span("pipeline.multilingual") as tracing:
+            with _obs.span("pipeline.multilingual"):
                 labels = harvest_labels(self.wiki)
                 report.label_triples = len(labels)
-                tracing.add("labels", report.label_triples)
             with _obs.span("pipeline.labels"):
                 pref_labels = [
                     Triple(page.entity, ns.PREF_LABEL, _literal(title))
@@ -259,7 +240,6 @@ class KnowledgeBaseBuilder:
                 kb = TripleStore(
                     chain(schema, type_triples, facts, labels, pref_labels)
                 )
-            building.add("triples", len(kb))
         return kb, report
 
     def _extract_pages(self) -> list[Candidate]:
@@ -320,9 +300,5 @@ def emit_segments(kb: TripleStore, directory: str) -> dict:
     """
     from ..kb.segments import write_segments
 
-    with _obs.span("pipeline.segments") as tracing:
-        manifest = write_segments(kb, directory)
-        if tracing:
-            _obs.annotate("segments.triples", manifest["triples"])
-            _obs.annotate("segments.files", 4 * len(manifest["segments"]) + 1)
-    return manifest
+    with _obs.span("pipeline.segments"):
+        return write_segments(kb, directory)

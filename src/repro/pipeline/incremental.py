@@ -348,7 +348,7 @@ class IncrementalBuilder:
         """
         started = time.perf_counter()
         report = IngestReport(epoch_before=self._epoch())
-        with _obs.span("pipeline.ingest") as tracing:
+        with _obs.span("pipeline.ingest"):
             batch = list(pages)
             report.batch_pages = len(batch)
 
@@ -434,11 +434,6 @@ class IncrementalBuilder:
             report.triples = len(kb)
             report.elapsed = time.perf_counter() - started
             if _obs.ENABLED:
-                tracing.add("batch_pages", report.batch_pages)
-                tracing.add("reextracted", report.reextracted_pages)
-                tracing.add("cached_pages", report.cached_pages)
-                tracing.add("added", report.added)
-                tracing.add("tombstones", report.tombstones)
                 _obs.count("pipeline.ingest.batches")
                 _obs.count("pipeline.ingest.added", report.added)
                 _obs.count("pipeline.ingest.tombstones", report.tombstones)

@@ -220,17 +220,13 @@ def solve_decomposed(
     flips = 0
     # Components are sorted by canonical key, so this float accumulation
     # order is canonical too.
-    with _obs.span("maxsat.component_batch") as tracing:
-        clause_total = 0
-        exact = 0
+    with _obs.span("maxsat.component_batch"):
         for component in components:
             sub = WeightedMaxSat()
             for index in component.clause_indexes:
                 sub.add_clause(clauses[index].literals, clauses[index].weight)
-            clause_total += len(component.clause_indexes)
             if component.exact:
                 result = sub.solve_exact(max_variables=EXACT_MAX_VARIABLES)
-                exact += 1
             else:
                 result = sub.solve(
                     seed=component.seed(seed),
@@ -242,10 +238,6 @@ def solve_decomposed(
             soft_cost += result.soft_cost
             hard_violations += result.hard_violations
             flips += result.flips
-        tracing.add("components", len(components))
-        tracing.add("clauses", clause_total)
-        tracing.add("exact", exact)
-        tracing.add("walksat", len(components) - exact)
     for variable in sorted(decomposition.trivial, key=stable_str_key):
         assignment[variable] = decomposition.trivial[variable]
     return MaxSatResult(assignment, soft_cost, hard_violations, flips)

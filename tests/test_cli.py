@@ -40,6 +40,7 @@ class TestBuild:
         ["ingest", "--segments", "seg", "--workers", "2"],
         ["scenario", "build", "--name", "baseline", "--workers", "2"],
         ["scenario", "evaluate", "--all", "--workers", "2"],
+        ["scenario", "evaluate", "--all", "--no-burst-leg"],
     ],
 )
 def test_removed_execution_flags_are_rejected(argv):

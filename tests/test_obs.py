@@ -1,5 +1,6 @@
 """Tests for the observability layer (repro.obs): spans, metrics, overhead."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -43,14 +44,19 @@ class TestSpans:
         inner = outer.children[0]
         assert outer.elapsed >= inner.elapsed >= 0.0
 
-    def test_span_counters(self):
+    def test_spans_record_time_only(self):
+        """A span keeps its name, nesting and time; counts go to the
+        registry."""
         obs.enable()
         with obs.span("work") as tracing:
-            tracing.add("items", 3)
-            tracing.add("items", 2)
-            obs.annotate("annotated")
+            obs.count("items", 3)
+            obs.count("items", 2)
+        assert not hasattr(tracing, "add")
+        assert not hasattr(tracing, "counters")
         work = obs.take_roots()[0]
-        assert work.counters == {"items": 5, "annotated": 1}
+        assert work.structure() == ("work", ())
+        assert set(work.to_dict()) == {"name", "elapsed_s", "children"}
+        assert obs.core.counters() == {"items": 5}
 
     def test_sibling_spans_stay_separate_until_rendered(self):
         obs.enable()
@@ -64,15 +70,17 @@ class TestSpans:
     def test_structure_ignores_timings(self):
         obs.enable()
         with obs.span("a"):
-            with obs.span("b") as tracing:
-                tracing.add("n", 1)
+            with obs.span("b"):
+                obs.count("n", 1)
         first = [s.structure() for s in obs.take_roots()]
+        first_counters = obs.core.counters()
         obs.reset()
         with obs.span("a"):
-            with obs.span("b") as tracing:
-                tracing.add("n", 1)
+            with obs.span("b"):
+                obs.count("n", 1)
         second = [s.structure() for s in obs.take_roots()]
-        assert first == second
+        assert first == second == [("a", (("b", ()),))]
+        assert first_counters == obs.core.counters() == {"n": 1}
 
     def test_exception_still_closes_span(self):
         obs.enable()
@@ -83,7 +91,10 @@ class TestSpans:
         roots = obs.take_roots()
         assert [r.name for r in roots] == ["outer"]
         assert [c.name for c in roots[0].children] == ["failing"]
-        assert obs.current_span() is None
+        # The stack is empty again: the next span is a new root.
+        with obs.span("after"):
+            pass
+        assert [r.name for r in obs.take_roots()] == ["outer", "after"]
 
 
 class TestMetrics:
@@ -123,6 +134,21 @@ class TestMetrics:
             h.observe(0.0)
         assert h.p50 == 0.0 and h.max == 0.0 and len(h.buckets) == 0
 
+    @pytest.mark.parametrize("sample", [math.inf, -math.inf, math.nan])
+    def test_histogram_rejects_non_finite_samples(self, sample):
+        h = Histogram("latency_ms")
+        for value in (0.0, 2.0, 5.0):
+            h.observe(value)
+        before = (h.count, h.sum, h.min, h.max, h.zeros, dict(h.buckets))
+        with pytest.raises(ValueError, match="latency_ms"):
+            h.observe(sample)
+        assert (h.count, h.sum, h.min, h.max, h.zeros, h.buckets) == before
+        assert h.mean == pytest.approx(7.0 / 3)
+        obs.enable()
+        with pytest.raises(ValueError, match="fresh"):
+            obs.observe("fresh", sample)
+        assert obs.core.histograms() == {}
+
     def test_observe_registers_histogram(self):
         obs.enable()
         obs.observe("latency", 1.0)
@@ -156,7 +182,6 @@ class TestDisabledPath:
             obs.count("c", 5)
             obs.gauge("g", 1.0)
             obs.observe("h", 1.0)
-            obs.annotate("a")
         assert obs.take_roots() == []
         report = obs.report_json()
         assert report["spans"] == []
@@ -212,13 +237,15 @@ class TestRendering:
         obs.enable()
         with obs.span("root"):
             for __ in range(2):
-                with obs.span("child") as tracing:
-                    tracing.add("n", 1)
+                with obs.span("child"):
+                    obs.count("n", 1)
         text = obs.render_trace()
         assert "root" in text
         assert "child x2" in text
-        assert "[n=2]" in text
         assert "└─" in text
+        # Spans carry times only; the count is in the metrics table.
+        assert "[" not in text and "n=" not in text
+        assert "n  2" in obs.render_metrics()
 
     def test_render_metrics_tables(self):
         obs.enable()
@@ -246,11 +273,26 @@ class TestRendering:
         import json
 
         obs.enable()
-        with obs.span("a") as tracing:
-            tracing.add("n", 1)
-            obs.count("c", 1)
-            obs.observe("h", 0.5)
-        json.dumps(obs.report_json())
+        with obs.span("a"):
+            with obs.span("b"):
+                obs.count("c", 1)
+                obs.observe("h", 0.5)
+        report = obs.report_json()
+        json.dumps(report)
+        assert "counters" not in report["spans"][0]
+        assert "counters" not in report["spans"][0]["children"][0]
+        assert all("counters" not in stage for stage in report["stages"])
+
+    def test_telemetry_line(self):
+        line = obs.telemetry_line(
+            "delta",
+            {"segment": None, "added": 3, "compacted": False, "kb_p": 0.91234,
+             "ok": True, "name": "seg-000001"},
+        )
+        assert line == (
+            "delta: segment=- added=3 compacted=false kb_p=0.912 ok=true "
+            "name=seg-000001"
+        )
 
 
 class TestInstrumentedComponents:
@@ -274,7 +316,7 @@ class TestInstrumentedComponents:
         s, p = Entity("e:a"), Relation("r:p")
         for i in range(3):
             store.add(Triple(s, p, Entity(f"e:o{i}")))
-        with obs.span("query") as tracing:
+        with obs.span("query"):
             list(store.match(subject=s, predicate=p))          # sp composite
             list(store.match(predicate=p))                     # p single
             list(store.match(subject=s, obj=Entity("e:o0")))   # s+o filtered
@@ -284,14 +326,11 @@ class TestInstrumentedComponents:
         assert counters["kb.store.match.shape.p"] == 1
         assert counters["kb.store.match.shape.s+o"] == 1
         assert counters["kb.store.match.shape.scan"] == 1
-        # The innermost open span carries the per-query annotations.
-        assert tracing.counters["store.match.sp"] == 1
-        assert tracing.counters["store.match.sp.scanned"] == 3
-        assert tracing.counters["store.match.p.scanned"] == 3
-        assert tracing.counters["store.match.s+o.scanned"] == 1
-        assert tracing.counters["store.match.scan.scanned"] == 3
-        histogram = obs.report_json()["histograms"]["kb.store.match.scanned"]
-        assert histogram["count"] == 4
+        # The scanned bucket sizes 3, 3, 1 and 3 land in one histogram.
+        histogram = obs.core.histograms()["kb.store.match.scanned"]
+        assert histogram.count == 4
+        assert histogram.sum == 10
+        assert (histogram.min, histogram.max) == (1, 3)
 
     def test_mapreduce_publishes_into_registry(self):
         from repro.bigdata import word_count
@@ -356,12 +395,11 @@ class TestInstrumentedComponents:
         assert counters["maxsat.walksat_components"] == 1
         assert counters["maxsat.components"] == 2
         assert counters["maxsat.solve_calls"] == 2
-        (batch,) = [
-            span for span in obs.take_roots()
-            if span.name == "maxsat.component_batch"
+        # Each component's solver records its own clauses: together, all.
+        assert counters["maxsat.clauses"] == len(problem.clauses)
+        assert "maxsat.component_batch" in [
+            span.name for span in obs.take_roots()
         ]
-        assert batch.counters["exact"] == 1
-        assert batch.counters["walksat"] == 1
 
     def test_build_reports_how_components_were_routed(self):
         from repro.corpus import build_wiki
@@ -402,3 +440,63 @@ class TestInstrumentedComponents:
             "pipeline.build/pipeline.labels",
             "pipeline.build/pipeline.assemble",
         } <= stages
+
+
+class TestMetricCatalogue:
+    """The registry names a traced build plus one ingest record, pinned.
+
+    Each number is recorded once, under one name, by the layer that
+    produces it; a new name (or a mirror of an existing number) has to be
+    added here on purpose.
+    """
+
+    COUNTERS = {
+        "consistency.clauses.disjoint",
+        "consistency.clauses.functional",
+        "consistency.clauses.type",
+        "consistency.rejected",
+        "extract.below_threshold",
+        "extract.candidates",
+        "extract.candidates.infobox",
+        "extract.candidates.surface-patterns",
+        "extract.candidates.year-attributes",
+        "extract.merged_facts",
+        "kb.segments.write",
+        "kb.store.add",
+        "maxsat.clauses",
+        "maxsat.components",
+        "maxsat.exact_components",
+        "maxsat.solve_calls",
+        "maxsat.trivial_vars",
+        "maxsat.variables",
+        "maxsat.walksat_components",
+        "pipeline.ingest.added",
+        "pipeline.ingest.batches",
+        "pipeline.ingest.tombstones",
+    }
+    GAUGES = {"maxsat.largest_component"}
+    HISTOGRAMS = {"kb.segments.write.triples"}
+
+    def test_build_and_ingest_record_the_pinned_names(self, tmp_path):
+        from repro.corpus import build_wiki
+        from repro.pipeline import IncrementalBuilder, KnowledgeBaseBuilder
+        from repro.world import WorldConfig, generate_world
+
+        world = generate_world(WorldConfig(seed=7, n_people=20))
+        wiki = build_wiki(world)
+        obs.enable()
+        __, report = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        with IncrementalBuilder(str(tmp_path / "segments")) as builder:
+            builder.ingest(
+                pages=[wiki.pages[title] for title in sorted(wiki.pages)],
+                aliases=world.aliases,
+            )
+        counters = obs.core.counters()
+        assert set(counters) == self.COUNTERS
+        assert set(obs.core.gauges()) == self.GAUGES
+        assert set(obs.core.histograms()) == self.HISTOGRAMS
+        # Two identical pipeline runs: each registry count is twice the
+        # build report's, and the trace carries no counts at all.
+        assert counters["consistency.rejected"] == 2 * report.consistency.rejected
+        assert counters["maxsat.components"] == 2 * report.consistency.components
+        assert "[" not in obs.render_trace()

@@ -143,9 +143,9 @@ class TestBuildDeterminismUnderTracing:
     """Instrumentation must not change behavior, and traces must be stable.
 
     Two builds over the same synthetic Wiki seed produce identical triple
-    sets and identical span *structure* (names, nesting, counters — not
-    timings).  This guards against observability code paths perturbing the
-    pipeline.
+    sets, identical span *structure* (names and nesting — not timings) and
+    identical registry counters.  This guards against observability code
+    paths perturbing the pipeline.
     """
 
     @staticmethod
@@ -161,16 +161,18 @@ class TestBuildDeterminismUnderTracing:
         try:
             kb, __ = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
             structure = tuple(s.structure() for s in obs.take_roots())
+            counters = obs.core.counters()
         finally:
             obs.disable()
             obs.reset()
-        return kb, structure
+        return kb, structure, counters
 
     def test_identical_triples_and_span_structure(self):
-        kb_first, structure_first = self._traced_build()
-        kb_second, structure_second = self._traced_build()
+        kb_first, structure_first, counters_first = self._traced_build()
+        kb_second, structure_second, counters_second = self._traced_build()
         assert {t.spo() for t in kb_first} == {t.spo() for t in kb_second}
         assert structure_first == structure_second
+        assert counters_first and counters_first == counters_second
 
     def test_tracing_does_not_change_the_kb(self):
         from repro import obs
@@ -184,14 +186,14 @@ class TestBuildDeterminismUnderTracing:
         kb_untraced, __ = KnowledgeBaseBuilder(
             wiki, aliases=world.aliases
         ).build()
-        kb_traced, structure = self._traced_build()
+        kb_traced, structure, __ = self._traced_build()
         assert {t.spo() for t in kb_untraced} == {t.spo() for t in kb_traced}
         # The traced run covered every enabled pipeline stage.
         names = set()
 
         def collect(node):
             names.add(node[0])
-            for child in node[2]:
+            for child in node[1]:
                 collect(child)
 
         for root in structure:
