@@ -4,7 +4,7 @@ Benchmarks the serving layer the way a production service is judged:
 N reader threads replay a pinned-seed workload of 10k/100k requests
 (SPO lookups, top-k, and 2-pattern conjunctive joins) whose target
 entities are zipf-distributed — a few hot entities dominate, as web
-query logs do — so the version-keyed LRU result cache is load-bearing:
+query logs do — so the engine's LRU result cache is load-bearing:
 its capacity is set *below* the number of distinct request keys, and only
 the skew keeps the hit rate high.  Reported per configuration: throughput,
 p50/p99 latency (from :class:`~repro.obs.core.Histogram` buckets, so

@@ -235,20 +235,20 @@ def _command_build(args, out) -> int:
         obs.enable()
     try:
         kb, report = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        count = save(kb, args.out)
+        if args.segments is not None:
+            from .pipeline import emit_segments
+
+            manifest = emit_segments(kb, args.segments)
+            print(
+                f"Emitted {len(manifest['segments'])} segment(s) "
+                f"({manifest['triples']} triples, epoch {manifest['epoch'][:12]}…) "
+                f"to {args.segments}",
+                file=out,
+            )
     finally:
         if args.trace:
             obs.disable()
-    count = save(kb, args.out)
-    if args.segments is not None:
-        from .pipeline import emit_segments
-
-        manifest = emit_segments(kb, args.segments)
-        print(
-            f"Emitted {len(manifest['segments'])} segment(s) "
-            f"({manifest['triples']} triples, epoch {manifest['epoch'][:12]}…) "
-            f"to {args.segments}",
-            file=out,
-        )
     print(
         f"Accepted {report.accepted_facts} facts "
         f"({report.consistency.rejected} rejected by consistency reasoning); "

@@ -19,7 +19,7 @@ from .terms import (
     decimal_literal,
 )
 from .triple import ALWAYS, TimeSpan, Triple
-from .engine import InMemoryEngine, ReadableStore, ReadOnlyStoreError
+from .engine import InMemoryEngine, ReadableStore
 from .store import MutationCounts, TripleStore, canonical_triples
 from .segments import (
     SegmentSnapshot,
@@ -50,7 +50,6 @@ __all__ = [
     "Triple",
     "InMemoryEngine",
     "ReadableStore",
-    "ReadOnlyStoreError",
     "MutationCounts",
     "TripleStore",
     "canonical_triples",

@@ -16,8 +16,8 @@ Both satisfy the :class:`ReadableStore` protocol, which is the contract
 the query layer (:mod:`repro.kb.query`) and the serving layer
 (:mod:`repro.serving`) are written against: pattern ``match``/``count``,
 point ``get``/``contains_fact``, iteration, and the two identity fields —
-the monotonic ``version`` counter and the content-chain ``epoch`` — that
-make result caching sound across engine rebinds.
+the monotonic ``version`` counter and the content ``epoch`` — that every
+serving response is tagged with.
 
 Index buckets in :class:`InMemoryEngine` are insertion-ordered dicts used
 as ordered sets (value always None), NOT builtin sets: ``match`` results
@@ -31,6 +31,9 @@ The five bucket indexes are *lazy*: a store that is only filled and
 iterated (a build's final KB, an ingest delta's rebuilt KB) never pays
 for them.  The first read that needs them builds all five from the
 primary map, after which inserts and deletes maintain them as before.
+Concurrent first readers of a store that nobody writes — a served KB —
+each build an identical copy and publish it before the flag, so reading
+needs no lock.
 """
 
 from __future__ import annotations
@@ -44,22 +47,15 @@ from .triple import Triple
 SpoKey = tuple[Resource, Resource, Term]
 
 
-class ReadOnlyStoreError(TypeError):
-    """A mutation was attempted on an immutable store (e.g. a snapshot)."""
-
-
 @runtime_checkable
 class ReadableStore(Protocol):
     """The read contract shared by mutable stores and immutable snapshots.
 
     ``version`` is a monotonic per-store mutation counter; ``epoch`` is a
-    content-chain digest (hex) that two stores share only if they reached
-    identical content through an identical mutation history — the pair is
-    what result caches key on.  ``mutable`` is False for snapshots, which
-    lets callers (the serving engine) skip write locking entirely.
+    content digest (hex) that two stores share only if they hold
+    identical triples.  Only the mutable store has write methods; a
+    reader of this protocol never writes.
     """
-
-    mutable: bool
 
     @property
     def version(self) -> int: ...

@@ -74,7 +74,6 @@ import struct
 import threading
 from typing import Iterable, Iterator, Optional
 
-from .engine import ReadOnlyStoreError
 from .rdfio import annotations_to_text, term_to_text, triple_from_parts
 from .store import EMPTY_EPOCH, epoch_hex, triple_content_hash
 from .terms import Resource, Term
@@ -530,12 +529,11 @@ class SegmentSnapshot:
     and ``epoch`` is the manifest's content-chain epoch, so
     ``TripleStore(snapshot)`` agrees with the snapshot on both — the
     property that makes snapshot serving byte-identical to in-memory
-    serving, cache keys included.
+    serving.
 
-    Mutation methods raise :class:`~repro.kb.engine.ReadOnlyStoreError`.
+    A snapshot has no mutation methods: load it into a
+    :class:`~repro.kb.store.TripleStore` to change it.
     """
-
-    mutable = False
 
     #: shape -> (order file, which SPO positions form the prefix)
     _SHAPES = {
@@ -637,7 +635,6 @@ class SegmentSnapshot:
         prefix = _prefix_bytes(texts[i] for i in positions)
         self.stats["probes"] += 1
         if _obs.ENABLED:
-            _obs.count("kb.segments.match")
             _obs.count(f"kb.segments.match.shape.{shape}")
         batches = []
         for segment in self._segments:
@@ -713,15 +710,6 @@ class SegmentSnapshot:
         return {
             triple_from_parts("<x>", text, "<x>").predicate for text in seen
         }
-
-    # ----------------------------------------------------------- mutations
-
-    def _read_only(self, *_args, **_kwargs):
-        raise ReadOnlyStoreError(
-            "segment snapshots are immutable; load into a TripleStore to mutate"
-        )
-
-    add = add_fact = add_all = remove = merge = _read_only
 
     # ----------------------------------------------------------- lifecycle
 

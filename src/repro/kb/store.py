@@ -123,16 +123,11 @@ class MutationCounts(int):
 class TripleStore:
     """An in-memory collection of :class:`~repro.kb.triple.Triple` objects."""
 
-    #: Writable: the serving layer takes its engine lock only for mutable
-    #: stores (snapshots set this False and are served lock-free).
-    mutable = True
-
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         # Monotonic mutation counter: bumps on every observable change (new
         # triple, higher-confidence witness replacement, removal).  The
-        # serving layer keys its result cache on (epoch, version), so a
-        # match is proof a cached answer is still current.  In-memory only —
-        # it never reaches the canonical serialization.
+        # serving layer tags every response with it.  In-memory only — it
+        # never reaches the canonical serialization.
         self._version = 0
         # Identity epoch: an incrementally maintained multiset hash of the
         # store's *content* — the sum (mod 2^128) of every live triple's
@@ -140,8 +135,7 @@ class TripleStore:
         # witness replacement swaps old for new, so two stores share an
         # epoch iff they hold identical triples, regardless of how they got
         # there.  Equal epoch therefore implies equal observable content,
-        # which is what makes cached results safe across engine rebinds to
-        # copies, filtered views, freshly loaded stores, and segment
+        # across copies, filtered views, freshly loaded stores, and segment
         # snapshots.  Deterministic across processes (no randomness, no
         # builtin hash).  Lazy: None until ``epoch`` is first read, which
         # sums the live triples once; the sum is order-free, so the value
@@ -269,17 +263,12 @@ class TripleStore:
         in the store now.  A ``copy()``, ``filtered()`` view, or freshly
         loaded store that merely *counts* to the same version as another
         store carries a different epoch unless the content is genuinely
-        identical — which is what keeps version-keyed result caches from
-        serving stale answers across engine rebinds — while an
-        identical-content store (however it was built, including a
-        segment snapshot of the same KB) shares the epoch and therefore
-        starts with a warm cache.
+        identical, while an identical-content store (however it was
+        built, including a segment snapshot of the same KB) shares it.
 
         The first read sums every live triple's content hash
-        (:meth:`_sum_epoch`); later mutations keep the sum current.  That
-        first read iterates the store, so against concurrent writers it
-        must run under the writers' lock (the serving engine reads it
-        when it binds a store).
+        (:meth:`_sum_epoch`); later mutations keep the sum current.  A
+        serving engine reads it once, when it is built over the store.
         """
         if self._epoch_acc is None:
             self._epoch_acc = self._sum_epoch()
@@ -324,7 +313,6 @@ class TripleStore:
         shape, keys = self._engine.plan(subject, predicate, obj)
         if _obs.ENABLED:
             scanned = len(self._engine) if keys is None else len(keys)
-            _obs.count("kb.store.match")
             _obs.count(f"kb.store.match.shape.{shape}")
             _obs.observe("kb.store.match.scanned", scanned)
         if keys is None:

@@ -19,8 +19,10 @@ pipeline into that maintenance loop:
   segment stack's current logical content; disappeared keys (retractions,
   re-resolution flips, consistency reversals) become tombstone records in
   the delta flushed through :meth:`SegmentStore.flush`, erased for good at
-  ``compact()``.  The manifest's ``epoch`` rolls forward so a serving
-  ``QueryEngine`` rebinds with correct result-cache invalidation.
+  ``compact()``.  The manifest's ``epoch`` rolls forward, so a
+  ``QueryEngine`` built over the new snapshot tags its answers with the
+  new generation's identity; an engine over the old snapshot keeps
+  serving the old one.
 
 The crown invariant, guarded by ``repro check-determinism --incremental``:
 ingesting batches one by one and compacting is **byte-identical** — segment
@@ -106,7 +108,8 @@ class IngestReport:
     segment: Optional[str] = None
     #: Whether this ingest compacted the stack down to canonical form.
     compacted: bool = False
-    #: Manifest epoch before/after — the serving layer's cache key.
+    #: Manifest epoch before/after — the ``kb_epoch`` an engine over
+    #: the snapshot reports.
     epoch_before: str = ""
     epoch_after: str = ""
     #: Logical triple count after this ingest.

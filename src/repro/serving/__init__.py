@@ -5,22 +5,20 @@ queries at web scale, not just get built.  This subpackage is the read
 path over a built KB:
 
 * :class:`~repro.serving.engine.QueryEngine` — request-oriented SPO
-  lookups, conjunctive joins, and top-k-by-confidence over any
-  :class:`~repro.kb.engine.ReadableStore` — a mutable
-  :class:`~repro.kb.store.TripleStore` (lock discipline keeps concurrent
-  readers consistent with a live writer) or an immutable
-  :class:`~repro.kb.segments.SegmentSnapshot` (cache misses never take
-  the engine lock at all);
-* :class:`~repro.serving.cache.VersionedLRUCache` — an LRU result cache
-  keyed on the store's identity epoch + monotonic version, so any
-  mutation invalidates stale entries atomically and a rebind to a
-  different store can never collide with the old store's versions;
+  lookups, conjunctive joins, and top-k-by-confidence over one frozen
+  :class:`~repro.kb.engine.ReadableStore` (a
+  :class:`~repro.kb.store.TripleStore` or a
+  :class:`~repro.kb.segments.SegmentSnapshot`), read for the engine's
+  whole lifetime and never written, so cache misses take no engine lock;
+* :class:`~repro.serving.cache.ResultCache` — an LRU result cache keyed
+  on the request alone, with negative (empty-answer) entries accounted
+  separately;
 * :class:`~repro.serving.http.KBServer` — a stdlib ``http.server`` front
   end (``repro serve``) with a fixed handler-thread pool and JSON
   endpoints ``/lookup``, ``/query``, ``/topk``, ``/healthz``, ``/metrics``.
 """
 
-from .cache import MISS, VersionedLRUCache
+from .cache import MISS, ResultCache
 from .engine import (
     BadRequest,
     QueryEngine,
@@ -40,7 +38,7 @@ from .http import (
 
 __all__ = [
     "MISS",
-    "VersionedLRUCache",
+    "ResultCache",
     "BadRequest",
     "QueryEngine",
     "canonical_triple_key",

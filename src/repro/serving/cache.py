@@ -1,27 +1,14 @@
-"""A thread-safe LRU result cache keyed on store identity + version.
+"""A thread-safe LRU result cache for one served KB.
 
-Entries are stored together with the identity **epoch** and monotonic
-``version`` of the store the result was computed from.  A lookup passes
-the *current* epoch and version; an entry whose stored pair differs is
-dropped on the spot and reported as a miss.  That single compare is what
-makes invalidation atomic: the instant any store mutation bumps the
-version, every previously cached entry is stale — no per-entry
-bookkeeping, no invalidation scan, no window where a reader can observe
-a pre-mutation answer as fresh.
+An engine serves one store for its whole lifetime (see
+:mod:`repro.serving.engine`), so a cached answer can never go stale:
+entries are keyed on the request alone and live until the LRU evicts
+them.  Serving a different KB means building a new engine, with a new
+cache.
 
-Why the epoch is part of the key: ``version`` is a per-store counter
-that restarts at 0 in every new store object, so a bare version compare
-can collide across *different* stores — rebind an engine from store A at
-version 3 to a ``copy()``/``filtered()``/freshly loaded store B that
-also counts to 3 and A's cached answers would be served for B's content.
-The epoch is a content-chain digest (see ``TripleStore.epoch``): equal
-epoch + equal version implies identical content, so a hit is always
-correct, even across rebinds — and a rebind to a store with the *same*
-history (e.g. a ``copy()``) deliberately keeps the cache warm.
-
-The cache never holds the store's lock; hits are served entirely from the
+The cache never touches the store; hits are served entirely from the
 cache's own mutex, which is what lets a warm serving layer answer without
-touching the store at all.
+reading the store at all.
 """
 
 from __future__ import annotations
@@ -34,81 +21,54 @@ from typing import Any, Hashable
 MISS = object()
 
 
-class VersionedLRUCache:
-    """An LRU map from request keys to (epoch, version, payload) entries.
+class ResultCache:
+    """An LRU map from request keys to (payload, negative) entries.
 
-    Entries additionally carry a **negative** flag: an empty answer
-    ("no such triple") is every bit as cacheable as a full one, and in a
-    serving layer fronting an incomplete KB the miss-shaped questions
-    repeat at least as often as the hit-shaped ones.  Negative entries
-    share the LRU with positive ones but are accounted separately
-    (``negative_hits``, ``negative_entries``), so operators can see how
-    much of the cache is absorbing known-empty lookups.
+    The **negative** flag marks an empty answer ("no such triple"), which
+    is every bit as cacheable as a full one: in a serving layer fronting
+    an incomplete KB the miss-shaped questions repeat at least as often
+    as the hit-shaped ones.  Negative entries share the LRU with positive
+    ones but are accounted separately (``negative_hits``,
+    ``negative_entries``), so operators can see how much of the cache is
+    absorbing known-empty lookups.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, tuple[str, int, Any, bool]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Hashable, tuple[Any, bool]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.stale_drops = 0
         self.evictions = 0
         self.negative_hits = 0
 
-    def get(self, key: Hashable, epoch: str, version: int) -> Any:
-        """The payload cached for ``key`` at (``epoch``, ``version``), or
-        :data:`MISS`.
-
-        An entry computed against any other store identity or version is
-        deleted (counted in ``stale_drops``) and reported as a miss; a
-        hit refreshes the entry's LRU recency.
-        """
+    def get(self, key: Hashable) -> Any:
+        """The payload cached for ``key``, or :data:`MISS`; a hit
+        refreshes the entry's LRU recency."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return MISS
-            cached_epoch, cached_version, payload, negative = entry
-            if cached_epoch != epoch or cached_version != version:
-                del self._entries[key]
-                self.stale_drops += 1
-                self.misses += 1
-                return MISS
             self._entries.move_to_end(key)
             self.hits += 1
+            payload, negative = entry
             if negative:
                 self.negative_hits += 1
             return payload
 
-    def put(
-        self,
-        key: Hashable,
-        epoch: str,
-        version: int,
-        payload: Any,
-        negative: bool = False,
-    ) -> None:
-        """Cache ``payload`` for ``key`` as computed at (epoch, version).
-
-        ``negative`` marks an empty answer, tracked separately in stats.
-        """
+    def put(self, key: Hashable, payload: Any, negative: bool = False) -> None:
+        """Cache ``payload`` for ``key``; ``negative`` marks an empty
+        answer, tracked separately in stats."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (epoch, version, payload, negative)
+            self._entries[key] = (payload, negative)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -124,17 +84,16 @@ class VersionedLRUCache:
                 "size": len(self._entries),
                 "hits": hits,
                 "misses": misses,
-                "stale_drops": self.stale_drops,
                 "evictions": self.evictions,
                 "hit_rate": (hits / total) if total else 0.0,
                 "negative_hits": self.negative_hits,
                 "negative_entries": sum(
-                    1 for entry in self._entries.values() if entry[3]
+                    1 for entry in self._entries.values() if entry[1]
                 ),
             }
 
     def __repr__(self) -> str:
         return (
-            f"VersionedLRUCache(size={len(self)}, capacity={self.capacity}, "
+            f"ResultCache(size={len(self)}, capacity={self.capacity}, "
             f"hits={self.hits}, misses={self.misses})"
         )

@@ -1,31 +1,19 @@
 """The request-oriented query engine: the serving layer's read path.
 
-:class:`QueryEngine` wraps a :class:`~repro.kb.store.TripleStore` behind
-three request shapes — SPO point/pattern ``lookup``, conjunctive ``query``
-(reusing :class:`~repro.kb.query.Query`), and ``topk`` by confidence — and
-memoizes every answer in a :class:`~repro.serving.cache.VersionedLRUCache`
-keyed on the store's monotonic version, so any mutation atomically
-invalidates stale entries (see the cache module docstring).
+:class:`QueryEngine` serves one :class:`~repro.kb.engine.ReadableStore` —
+an in-memory :class:`~repro.kb.store.TripleStore` or an on-disk
+:class:`~repro.kb.segments.SegmentSnapshot` — behind three request shapes:
+SPO point/pattern ``lookup``, conjunctive ``query`` (reusing
+:class:`~repro.kb.query.Query`), and ``topk`` by confidence.  Every answer
+is memoized in a :class:`~repro.serving.cache.ResultCache`.
 
-Concurrency contract: against a **mutable** store, reads that miss the
-cache and *all* writes serialize on one engine lock, so a computed result
-always reflects a single store version ``v`` and is returned tagged
-``kb_version = v``; cache hits bypass the lock entirely.  Every response's
-``kb_version`` is >= the store version observable when the request
-started (no stale reads), and a multi-triple :meth:`add_all` is atomic —
-a conjunctive query sees all of the batch or none of it (no torn joins).
-Against an **immutable** store (a segment snapshot, ``mutable = False``)
-there is nothing to serialize with: cache misses compute without taking
-the engine lock at all, so concurrent cold reads never queue behind one
-another, and writes raise
-:class:`~repro.kb.engine.ReadOnlyStoreError`.
-
-Every response carries the store's identity pair — ``kb_epoch`` (the
-content-chain digest) and ``kb_version`` — and the result cache is keyed
-on both, so :meth:`rebind`-ing the engine to a ``copy()``, ``filtered()``
-view, or freshly loaded store can never serve another store's cached
-answers: a different history means a different epoch (and a rebind to an
-identical-history store deliberately keeps the cache warm).
+One engine serves one frozen KB for its whole lifetime: it reads the
+store's identity pair — ``kb_epoch`` (the content digest) and
+``kb_version`` — once, at construction, and tags every response with it.
+Nothing writes the store while it is served, so a cached answer never
+goes stale and a cache miss computes without any engine lock: concurrent
+cold reads never queue behind one another.  Serving a new KB generation
+means building a new engine over it, with a fresh cache.
 
 Payloads are plain JSON-able dicts with deterministic content: triples sort
 by their canonical rdfio text key, bindings keep ``Query.run`` order (which
@@ -46,15 +34,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from ..kb.engine import ReadableStore, ReadOnlyStoreError
+from ..kb.engine import ReadableStore
 from ..kb.query import Pattern, Query, Slot, Var, slot_to_text
 from ..kb.rdfio import term_from_text, term_to_text
 from ..kb.terms import Entity, Relation, Term
 from ..kb.triple import Triple
 from ..obs.core import Histogram
-from .cache import MISS, VersionedLRUCache
+from .cache import MISS, ResultCache
 
 
 class BadRequest(ValueError):
@@ -139,15 +127,14 @@ def canonical_triple_key(triple: Triple) -> tuple[str, str, str]:
 
 
 class QueryEngine:
-    """A cached, lock-disciplined read/write front over one store."""
+    """A cached, read-only front over one store."""
 
     def __init__(self, store: ReadableStore, cache_size: int = 1024) -> None:
-        self._cache = VersionedLRUCache(cache_size)
-        # One lock for cache-miss reads and every write: a computed result
-        # reflects exactly one store version, and batched writes are atomic.
-        self._lock = threading.RLock()
-        with self._lock:
-            self._bind(store)
+        self._store = store
+        self._epoch = store.epoch
+        self._version = store.version
+        self._cache = ResultCache(cache_size)
+        # Handler threads record latencies concurrently.
         self._stats_lock = threading.Lock()
         self._latency: dict[str, Histogram] = {}
 
@@ -156,77 +143,8 @@ class QueryEngine:
         return self._store
 
     @property
-    def cache(self) -> VersionedLRUCache:
+    def cache(self) -> ResultCache:
         return self._cache
-
-    @property
-    def version(self) -> int:
-        """The served store's current version."""
-        return self._store.version
-
-    @property
-    def epoch(self) -> str:
-        """The served store's identity epoch (hex)."""
-        return self._store.epoch
-
-    def rebind(self, store: ReadableStore) -> None:
-        """Atomically swap the served store.
-
-        The cache is intentionally *not* cleared: entries are keyed on
-        (epoch, version), so answers from the old store can never be
-        served for the new one — and a rebind to a store with the same
-        mutation history (e.g. a ``copy()``) starts warm.
-        """
-        with self._lock:
-            self._bind(store)
-
-    def _bind(self, store: ReadableStore) -> None:
-        """Serve ``store`` from now on; the caller holds the engine lock.
-
-        A mutable store derives its epoch and its indexes on first read
-        (see :class:`~repro.kb.store.TripleStore`).  Reading both here,
-        under the lock every writer takes, means the unlocked
-        ``store.epoch`` read in :meth:`_serve` only ever returns a value
-        the store maintains, and never sums the store while a writer
-        changes it.
-        """
-        if store.mutable:
-            store.epoch
-            store.count()  # the first pattern read builds the indexes
-        self._store = store
-
-    # ------------------------------------------------------------- writes
-
-    def _require_mutable(self) -> None:
-        if not self._store.mutable:
-            raise ReadOnlyStoreError(
-                "engine is bound to an immutable snapshot; writes need a "
-                "mutable store (rebind or load into a TripleStore)"
-            )
-
-    def add(self, triple: Triple) -> bool:
-        """Add one triple under the engine lock; returns True if new."""
-        self._require_mutable()
-        with self._lock:
-            return self._store.add(triple)
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Atomically add a batch: concurrent queries see all or none."""
-        self._require_mutable()
-        with self._lock:
-            return self._store.add_all(triples)
-
-    def remove(self, triple: Triple) -> bool:
-        """Remove one triple under the engine lock."""
-        self._require_mutable()
-        with self._lock:
-            return self._store.remove(triple)
-
-    def mutate(self, fn: Callable[[ReadableStore], object]) -> object:
-        """Run an arbitrary store mutation atomically under the engine lock."""
-        self._require_mutable()
-        with self._lock:
-            return fn(self._store)
 
     # -------------------------------------------------------------- reads
 
@@ -245,13 +163,14 @@ class QueryEngine:
             None if obj is None else term_to_text(obj),
         )
 
-        def compute(store: ReadableStore, epoch: str, version: int) -> dict:
+        def compute() -> dict:
             triples = sorted(
-                store.match(subject, predicate, obj), key=canonical_triple_key
+                self._store.match(subject, predicate, obj),
+                key=canonical_triple_key,
             )
             return {
-                "kb_epoch": epoch,
-                "kb_version": version,
+                "kb_epoch": self._epoch,
+                "kb_version": self._version,
                 "count": len(triples),
                 "triples": [triple_payload(t) for t in triples],
             }
@@ -296,7 +215,7 @@ class QueryEngine:
             limit,
         )
 
-        def compute(store: ReadableStore, epoch: str, version: int) -> dict:
+        def compute() -> dict:
             q = Query(
                 patterns,
                 select=select,
@@ -306,11 +225,11 @@ class QueryEngine:
             )
             bindings = [
                 {name: term_to_text(value) for name, value in binding.items()}
-                for binding in q.run(store)
+                for binding in q.run(self._store)
             ]
             return {
-                "kb_epoch": epoch,
-                "kb_version": version,
+                "kb_epoch": self._epoch,
+                "kb_version": self._version,
                 "count": len(bindings),
                 "vars": sorted(names) if select is None else list(select),
                 "bindings": bindings,
@@ -340,14 +259,14 @@ class QueryEngine:
             None if obj is None else term_to_text(obj),
         )
 
-        def compute(store: ReadableStore, epoch: str, version: int) -> dict:
+        def compute() -> dict:
             ranked = sorted(
-                store.match(subject, predicate, obj),
+                self._store.match(subject, predicate, obj),
                 key=lambda t: (-t.confidence, canonical_triple_key(t)),
             )
             return {
-                "kb_epoch": epoch,
-                "kb_version": version,
+                "kb_epoch": self._epoch,
+                "kb_version": self._version,
                 "k": k,
                 "count": min(k, len(ranked)),
                 "results": [triple_payload(t) for t in ranked[:k]],
@@ -419,8 +338,8 @@ class QueryEngine:
         """Liveness payload: status, version, triple count."""
         return {
             "status": "ok",
-            "kb_epoch": self._store.epoch,
-            "kb_version": self._store.version,
+            "kb_epoch": self._epoch,
+            "kb_version": self._version,
             "triples": len(self._store),
         }
 
@@ -435,8 +354,8 @@ class QueryEngine:
                 for name, histogram in self._latency.items()
             }
         return {
-            "kb_epoch": self._store.epoch,
-            "kb_version": self._store.version,
+            "kb_epoch": self._epoch,
+            "kb_version": self._version,
             "triples": len(self._store),
             "cache": self._cache.stats(),
             "endpoints": endpoints,
@@ -445,37 +364,16 @@ class QueryEngine:
     # ----------------------------------------------------------- internals
 
     def _serve(
-        self,
-        endpoint: str,
-        key: tuple,
-        compute: Callable[[ReadableStore, str, int], dict],
+        self, endpoint: str, key: tuple, compute: Callable[[], dict]
     ) -> dict:
         started = time.perf_counter()
-        store = self._store
-        epoch, version = store.epoch, store.version
-        payload = self._cache.get(key, epoch, version)
+        payload = self._cache.get(key)
         if payload is MISS:
-            if store.mutable:
-                with self._lock:
-                    # Re-read under the lock: a writer may have advanced
-                    # (or rebind swapped) the store since the unlocked
-                    # read; the result must be tagged with the identity it
-                    # actually reflects.
-                    store = self._store
-                    epoch, version = store.epoch, store.version
-                    payload = compute(store, epoch, version)
-            else:
-                # Immutable snapshot: nothing can move under us, so cold
-                # reads run fully concurrently — no engine lock.  The
-                # captured ``store`` (not ``self._store``) is what gets
-                # read, so a concurrent rebind cannot poison the entry.
-                payload = compute(store, epoch, version)
+            payload = compute()
             # Empty answers are cached too (negative caching): repeated
             # questions about absent facts are served from memory just
             # like present ones, and accounted separately in stats.
-            self._cache.put(
-                key, epoch, version, payload, negative=payload.get("count") == 0
-            )
+            self._cache.put(key, payload, negative=payload.get("count") == 0)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._stats_lock:
             histogram = self._latency.get(endpoint)
@@ -487,5 +385,5 @@ class QueryEngine:
     def __repr__(self) -> str:
         return (
             f"QueryEngine(triples={len(self._store)}, "
-            f"version={self._store.version}, cache={self._cache!r})"
+            f"version={self._version}, cache={self._cache!r})"
         )

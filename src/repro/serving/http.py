@@ -190,6 +190,16 @@ class KBServer(HTTPServer):
             finally:
                 self.shutdown_request(request)
 
+    def _spawn_pool(self) -> None:
+        """Mark the server as serving and start the handler threads."""
+        self._serving = True
+        for index in range(self.workers):
+            thread = threading.Thread(
+                target=self._worker_loop, name=f"kb-serve-worker-{index}", daemon=True
+            )
+            thread.start()
+            self._threads.append(thread)
+
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port) — port is the ephemeral one if 0 was asked."""
@@ -204,13 +214,7 @@ class KBServer(HTTPServer):
         """Spawn the handler pool and a background acceptor thread."""
         if self._serving:
             return self
-        self._serving = True
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"kb-serve-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._spawn_pool()
         self._acceptor = threading.Thread(
             target=self.serve_forever, name="kb-serve-acceptor", daemon=True
         )
@@ -221,13 +225,7 @@ class KBServer(HTTPServer):
         """Serve on the calling thread (the CLI foreground mode)."""
         if self._serving:
             raise RuntimeError("server already started")
-        self._serving = True
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"kb-serve-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._spawn_pool()
         try:
             self.serve_forever()
         finally:

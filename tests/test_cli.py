@@ -31,6 +31,22 @@ class TestBuild:
         kb = load(str(path))
         assert len(kb) > 500
 
+    def test_trace_covers_segment_emission(self, tmp_path):
+        out = io.StringIO()
+        code = main(
+            ["build", "--seed", "7", "--people", "20",
+             "--out", str(tmp_path / "kb.nt"),
+             "--segments", str(tmp_path / "seg"), "--trace"],
+            out=out,
+        )
+        assert code == 0
+        trace = out.getvalue().split("\n--- trace ---\n")[1]
+        spans, metrics = trace.split("\n--- metrics ---\n")
+        assert "pipeline.segments" in spans
+        assert any(
+            line.startswith("kb.segments.write ") for line in metrics.splitlines()
+        )
+
 
 @pytest.mark.parametrize(
     "argv",

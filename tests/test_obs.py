@@ -307,7 +307,7 @@ class TestInstrumentedComponents:
         counters = obs.report_json()["counters"]
         assert counters["kb.store.add"] == 2
         assert counters["kb.store.add.duplicate"] == 1
-        assert counters["kb.store.match"] == 1
+        assert counters["kb.store.match.shape.s"] == 1
         assert counters["kb.store.remove"] == 1
 
     def test_match_traces_index_shape_and_bucket_size(self):

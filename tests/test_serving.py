@@ -1,18 +1,30 @@
-"""Tests for repro.serving: engine correctness, cache accounting, and the
-writer-vs-readers concurrency contract."""
+"""Tests for repro.serving: engine correctness, cache accounting, and
+concurrent cold reads of one frozen KB."""
 
 import json
+import random
+import sys
 import threading
 
 import pytest
 
-from repro.kb import Entity, Pattern, Query, Relation, Triple, TripleStore, Var
+from repro.kb import (
+    Entity,
+    Pattern,
+    Query,
+    Relation,
+    Triple,
+    TripleStore,
+    Var,
+    open_snapshot,
+    write_segments,
+)
 from repro.kb.rdfio import term_to_text
 from repro.serving import (
     MISS,
     BadRequest,
     QueryEngine,
-    VersionedLRUCache,
+    ResultCache,
     canonical_triple_key,
     parse_patterns,
     parse_slot,
@@ -200,49 +212,10 @@ class TestCacheAccounting:
             QueryEngine(store, cache_size=0)
 
     def test_raw_cache_miss_sentinel(self):
-        cache = VersionedLRUCache(capacity=4)
-        assert cache.get("k", "e0", 0) is MISS
-        cache.put("k", "e0", 0, {"x": 1})
-        assert cache.get("k", "e0", 0) == {"x": 1}
-        assert cache.get("k", "e0", 1) is MISS  # version moved on: stale drop
-        assert cache.stats()["stale_drops"] == 1
-        cache.put("k", "e0", 1, {"x": 2})
-        # Same version, different store identity: also a stale drop.
-        assert cache.get("k", "e1", 1) is MISS
-        assert cache.stats()["stale_drops"] == 2
-
-
-class TestVersionInvalidation:
-    def test_add_invalidates_and_result_reflects_store(self, engine):
-        before = engine.lookup(predicate=BORN_IN)
-        engine.add(Triple(Entity("world:P9"), BORN_IN, Entity("world:C0"), 0.99))
-        after = engine.lookup(predicate=BORN_IN)
-        assert after["kb_version"] > before["kb_version"]
-        assert after["count"] == before["count"] + 1
-        assert engine.cache.stats()["stale_drops"] == 1
-
-    def test_remove_invalidates(self, engine):
-        engine.topk(2, predicate=LOCATED_IN)
-        engine.remove(Triple(Entity("world:C0"), LOCATED_IN, GERMANY))
-        payload = engine.topk(2, predicate=LOCATED_IN)
-        assert payload["count"] == 2
-        assert "<world:C0>" not in [t["s"] for t in payload["results"]]
-        assert engine.cache.stats()["stale_drops"] == 1
-
-    def test_noop_mutation_keeps_cache_warm(self, engine):
-        engine.lookup(predicate=BORN_IN)
-        # Duplicate with no higher confidence: no state change, no bump.
-        engine.add(Triple(Entity("world:P0"), BORN_IN, Entity("world:C0"), 0.1))
-        engine.lookup(predicate=BORN_IN)
-        assert engine.cache.stats()["hits"] == 1
-
-    def test_unrelated_queries_recompute_at_new_version(self, engine):
-        engine.lookup(predicate=BORN_IN)
-        engine.add(Triple(Entity("world:C9"), LOCATED_IN, GERMANY, 0.5))
-        payload = engine.lookup(predicate=BORN_IN)
-        # Same triples, new version tag: still a recompute, not a stale hit.
-        assert payload["kb_version"] == engine.store.version
-        assert engine.cache.stats()["hits"] == 0
+        cache = ResultCache(capacity=4)
+        assert cache.get("k") is MISS
+        cache.put("k", {"x": 1})
+        assert cache.get("k") == {"x": 1}
 
 
 class TestWireParsing:
@@ -303,201 +276,139 @@ class TestObsIntegration:
         for field in ("count", "mean", "p50", "p95", "p99", "max"):
             assert field in endpoint["latency_ms"]
 
-
-def _epochs_by_version(store: TripleStore, mutations) -> dict[int, str]:
-    """Replay ``(method, argument)`` mutations on ``store``, which has
-    already read its epoch, recording the epoch at every version."""
-    store.epoch
-    epochs = {store.version: store.epoch}
-    for method, argument in mutations:
-        getattr(store, method)(argument)
-        epochs[store.version] = store.epoch
-    return epochs
-
-
-def _forbid_full_epoch_sum(monkeypatch, store: TripleStore) -> None:
-    def full_sum():
-        raise AssertionError("the store summed its whole epoch while served")
-
-    monkeypatch.setattr(store, "_sum_epoch", full_sum)
-
-
-class TestNeverReadStore:
-    """Binding a store whose lazy epoch and indexes were never read: the
-    engine materializes both under its lock, so no request (and no
-    unlocked ``store.epoch`` read racing a writer) ever sums the store."""
-
-    def test_bind_and_rebind_materialize(self):
-        store = make_store()
-        assert not store.engine.indexed and store._epoch_acc is None
-        engine = QueryEngine(store)
-        assert store.engine.indexed and store._epoch_acc is not None
-        fresh = make_store()
-        engine.rebind(fresh)
-        assert fresh.engine.indexed and fresh._epoch_acc is not None
-
-    def test_requests_and_writes_never_sum_the_store(self, monkeypatch):
-        batches = [
-            (
-                "add_all",
-                [Triple(Entity(f"world:Q{i}"), BORN_IN, Entity("world:C0"), 0.7)],
-            )
-            for i in range(40)
+    def test_metrics_cache_key_set(self, engine):
+        engine.lookup(predicate=BORN_IN)
+        assert sorted(engine.metrics()["cache"]) == [
+            "capacity",
+            "evictions",
+            "hit_rate",
+            "hits",
+            "misses",
+            "negative_entries",
+            "negative_hits",
+            "size",
         ]
-        expected = _epochs_by_version(make_store(), batches)
-        store = make_store()
-        engine = QueryEngine(store)
-        _forbid_full_epoch_sum(monkeypatch, store)
-        seen: list[tuple[int, str]] = []
-        errors: list[BaseException] = []
-
-        def writer():
-            try:
-                for __, batch in batches:
-                    engine.add_all(batch)
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        def reader():
-            try:
-                for __ in range(30):
-                    for payload in (
-                        engine.lookup(predicate=BORN_IN),
-                        engine.query([Pattern(Var("x"), BORN_IN, Var("c"))]),
-                        engine.topk(3, predicate=BORN_IN),
-                        engine.metrics(),
-                        engine.healthz(),
-                    ):
-                        seen.append((payload["kb_version"], payload["kb_epoch"]))
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=writer)]
-        threads += [threading.Thread(target=reader) for __ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors, errors
-        assert seen
-        for version, epoch in seen:
-            assert expected[version] == epoch, version
-        assert engine.epoch == expected[max(expected)]
 
 
 class TestConcurrencyStress:
-    """One writer mutating the store while 8 readers hammer the engine.
+    """8 threads cold-read one engine over a store that nobody has read.
 
-    Invariants checked per response: the reported ``kb_version`` is >= the
-    store version observed when the request started (no stale reads), its
-    ``kb_epoch`` is the epoch an eagerly hashed replay of the same writes
-    has at that version, and a conjunctive join over an atomically-added
-    triple *pair* binds either both variables or yields nothing (no torn
-    bindings).  The store is bound never-read, and may not sum its epoch
-    once served.
+    The store's lazy indexes are built by whichever first readers get
+    there, each an identical copy; its epoch is summed once, when the
+    engine is built.  Every response must be byte-identical to a
+    1-thread replay, and so must every response of 8 more threads over
+    the store's snapshot twin.
     """
 
     READERS = 8
-    WRITES = 150
-    READS_PER_READER = 250
+    PEOPLE = 60
+    CITIES = 12
     SEED = 1306
-    COUNTRY = Entity("world:Atlantis")
 
-    def _writes(self):
-        """The writer's mutations in order, as ``(method, argument)``."""
-        for i in range(self.WRITES):
+    def _store(self) -> TripleStore:
+        triples = [
+            Triple(
+                Entity(f"world:N{i}"),
+                BORN_IN,
+                Entity(f"world:NC{i % self.CITIES}"),
+                confidence=0.5 + 0.05 * (i % 7),
+            )
+            for i in range(self.PEOPLE)
+        ]
+        triples += [
+            Triple(Entity(f"world:NC{c}"), LOCATED_IN, Entity(f"world:K{c % 3}"), 0.9)
+            for c in range(self.CITIES)
+        ]
+        return TripleStore(triples)
+
+    def _requests(self):
+        """Every request once, as ``(name, call)``."""
+        requests = [("healthz", lambda e: e.healthz())]
+        for i in range(0, self.PEOPLE, 3):
             person = Entity(f"world:N{i}")
-            city = Entity(f"world:NC{i}")
-            # One atomic batch: readers must never see the person edge
-            # without the city edge.
-            yield "add_all", [
-                Triple(person, BORN_IN, city, confidence=0.8),
-                Triple(city, LOCATED_IN, self.COUNTRY, confidence=0.9),
-            ]
-            if i % 10 == 0:
-                yield "remove", Triple(person, BORN_IN, city, 0.8)
+            requests.append((f"s{i}", lambda e, s=person: e.lookup(subject=s)))
+            requests.append(
+                (
+                    f"q{i}",
+                    lambda e, s=person: e.query(
+                        [
+                            Pattern(s, BORN_IN, Var("c")),
+                            Pattern(Var("c"), LOCATED_IN, Var("k")),
+                        ]
+                    ),
+                )
+            )
+        for c in range(self.CITIES):
+            city = Entity(f"world:NC{c}")
+            requests.append((f"o{c}", lambda e, o=city: e.lookup(obj=o)))
+            requests.append(
+                (f"t{c}", lambda e, o=city: e.topk(3, predicate=BORN_IN, obj=o))
+            )
+        requests.append(("p", lambda e: e.lookup(predicate=LOCATED_IN)))
+        return requests
 
-    def test_writer_vs_readers(self, monkeypatch):
-        expected_epochs = _epochs_by_version(make_store(), self._writes())
-        store = make_store()
-        assert not store.engine.indexed and store._epoch_acc is None
-        engine = QueryEngine(store, cache_size=256)
-        _forbid_full_epoch_sum(monkeypatch, store)
-        country = self.COUNTRY
-        identities: list[tuple[int, str]] = []
+    def _cold_read(self, engine) -> list[tuple[str, str]]:
+        """Run every request from READERS threads, each in its own order."""
+        requests = self._requests()
+        responses: list[tuple[str, str]] = []
         errors: list[BaseException] = []
-        stop = threading.Event()
-
-        def writer():
-            try:
-                for method, argument in self._writes():
-                    getattr(engine, method)(argument)
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-            finally:
-                stop.set()
 
         def reader(reader_id: int):
-            import random
-
-            rng = random.Random(self.SEED + reader_id)
+            order = list(requests)
+            random.Random(self.SEED + reader_id).shuffle(order)
             try:
-                for _ in range(self.READS_PER_READER):
-                    started_at = engine.store.version
-                    choice = rng.random()
-                    if choice < 0.4:
-                        i = rng.randrange(self.WRITES)
-                        payload = engine.query(
-                            [
-                                Pattern(Entity(f"world:N{i}"), BORN_IN, Var("c")),
-                                Pattern(Var("c"), LOCATED_IN, Var("k")),
-                            ]
-                        )
-                        assert payload["count"] in (0, 1)
-                        for binding in payload["bindings"]:
-                            # No torn joins: both variables bound, and the
-                            # country edge the writer added in the same
-                            # atomic batch is the one joined.
-                            assert set(binding) == {"c", "k"}
-                            assert binding["k"] == "<world:Atlantis>"
-                    elif choice < 0.7:
-                        payload = engine.lookup(predicate=LOCATED_IN)
-                        assert payload["count"] >= 3
-                    else:
-                        payload = engine.topk(5, predicate=BORN_IN)
-                        assert payload["count"] >= 5
-                    assert payload["kb_version"] >= started_at
-                    identities.append((payload["kb_version"], payload["kb_epoch"]))
+                for name, call in order:
+                    responses.append((name, dumps(call(engine))))
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        threads = [threading.Thread(target=writer, name="stress-writer")]
-        threads += [
-            threading.Thread(target=reader, args=(i,), name=f"stress-reader-{i}")
+        threads = [
+            threading.Thread(target=reader, args=(i,), name=f"cold-reader-{i}")
             for i in range(self.READERS)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        assert stop.is_set()
-        # The cache survived the churn with sane accounting.
-        stats = engine.cache.stats()
-        assert stats["hits"] + stats["misses"] == sum(
-            endpoint["requests"] for endpoint in engine.metrics()["endpoints"].values()
-        )
-        # Final state is consistent: every remaining person edge joins.
-        final = engine.query(
-            [
-                Pattern(Var("x"), BORN_IN, Var("c")),
-                Pattern(Var("c"), LOCATED_IN, country),
-            ]
-        )
-        assert final["count"] == self.WRITES - (self.WRITES + 9) // 10
-        for version, epoch in identities:
-            assert expected_epochs[version] == epoch, version
+        assert len(responses) == self.READERS * len(requests)
+        return responses
+
+    def test_cold_readers_match_one_thread_replay(self, monkeypatch, tmp_path):
+        reference_engine = QueryEngine(self._store())
+        reference = {
+            name: dumps(call(reference_engine)) for name, call in self._requests()
+        }
+
+        store = self._store()
+        sums: list[str] = []
+        sum_epoch = store._sum_epoch
+
+        def counted_sum():
+            sums.append(threading.current_thread().name)
+            return sum_epoch()
+
+        monkeypatch.setattr(store, "_sum_epoch", counted_sum)
+        assert not store.engine.indexed and store._epoch_acc is None
+        engine = QueryEngine(store)
+        assert sums == [threading.current_thread().name]
+        assert not store.engine.indexed
+        for name, body in self._cold_read(engine):
+            assert body == reference[name], name
+        assert store.engine.indexed
+        assert len(sums) == 1
+
+        directory = str(tmp_path / "seg")
+        write_segments(self._store(), directory)
+        with open_snapshot(directory) as snapshot:
+            for name, body in self._cold_read(QueryEngine(snapshot)):
+                assert body == reference[name], name
 
 
 class TestNegativeCaching:
@@ -522,23 +433,12 @@ class TestNegativeCaching:
         assert stats["negative_hits"] == 0
         assert stats["hits"] == 1
 
-    def test_negative_entry_invalidated_by_write(self, engine):
-        person = Entity("world:NewPerson")
-        assert engine.lookup(subject=person)["count"] == 0
-        engine.add(Triple(person, BORN_IN, Entity("world:C0"), confidence=0.7))
-        after = engine.lookup(subject=person)
-        assert after["count"] == 1
-        stats = engine.cache.stats()
-        # The stale negative entry was dropped, never served.
-        assert stats["negative_hits"] == 0
-        assert stats["stale_drops"] >= 1
-
     def test_raw_cache_negative_flag(self):
-        cache = VersionedLRUCache(4)
-        cache.put("k", "e", 1, {"count": 0}, negative=True)
-        cache.put("p", "e", 1, {"count": 3})
-        assert cache.get("k", "e", 1) == {"count": 0}
-        assert cache.get("p", "e", 1) == {"count": 3}
+        cache = ResultCache(4)
+        cache.put("k", {"count": 0}, negative=True)
+        cache.put("p", {"count": 3})
+        assert cache.get("k") == {"count": 0}
+        assert cache.get("p") == {"count": 3}
         stats = cache.stats()
         assert stats["negative_entries"] == 1
         assert stats["negative_hits"] == 1
