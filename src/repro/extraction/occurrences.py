@@ -4,10 +4,11 @@ An *occurrence* is one ordered-by-text pair of resolved entity mentions in
 one sentence, together with every signal the extractor families key on:
 the token sequence between the mentions (surface patterns, Snowball), the
 lexicalized dependency paths in both directions (dependency-path
-extraction), and the words just outside the pair (distant-supervision
-features).  Extractors that posit the *second* mention as the subject
-("Y was founded by X") say so with a direction flag; the occurrence itself
-always keeps textual order.
+extraction; computed on first read, so an extractor that keys on the
+middle tokens alone never parses), and the words just outside the pair
+(distant-supervision features).  Extractors that posit the *second*
+mention as the subject ("Y was founded by X") say so with a direction
+flag; the occurrence itself always keeps textual order.
 
 Computing the occurrences once and feeding every extractor from the same
 list keeps the E3 comparison honest — all methods see exactly the same
@@ -16,7 +17,8 @@ sentences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from ..kb import Entity
@@ -25,20 +27,37 @@ from ..nlp.pipeline import Analysis, analyze
 from .resolution import NameResolver
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Occurrence:
-    """One textual-order resolved mention pair in one sentence."""
+    """One textual-order resolved mention pair in one sentence.
+
+    The dependency paths are computed from the sentence's parse on first
+    read and then kept; an extractor that never reads them never parses
+    the sentence.  Equality is keyed on the mention head token indexes,
+    of which (with the sentence) the paths are a function.
+    """
 
     first: Entity
     second: Entity
     middle: tuple[str, ...]            # lowercased tokens between the mentions
-    path_forward: Optional[str]        # dependency path first -> second
-    path_backward: Optional[str]       # dependency path second -> first
     left: str                          # word before the first mention
     right: str                         # word after the second mention
     sentence: str
     first_text: str
     second_text: str
+    first_head: int                    # token index of the first mention's head
+    second_head: int                   # token index of the second mention's head
+    analysis: Analysis = field(compare=False, repr=False)
+
+    @cached_property
+    def path_forward(self) -> Optional[str]:
+        """The dependency path first -> second."""
+        return self.analysis.parse.path(self.first_head, self.second_head)
+
+    @cached_property
+    def path_backward(self) -> Optional[str]:
+        """The dependency path second -> first."""
+        return self.analysis.parse.path(self.second_head, self.first_head)
 
     def pair(self, inverse: bool = False) -> tuple[Entity, Entity]:
         """(subject, object) under a direction: forward unless ``inverse``."""
@@ -85,18 +104,18 @@ def sentence_occurrences(
                 if m2.token_end < len(analysis.tokens)
                 else ""
             )
-            head1, head2 = m1.token_end - 1, m2.token_end - 1
             yield Occurrence(
                 first=e1,
                 second=e2,
                 middle=middle,
-                path_forward=analysis.parse.path(head1, head2),
-                path_backward=analysis.parse.path(head2, head1),
                 left=left,
                 right=right,
                 sentence=analysis.text,
                 first_text=m1.text,
                 second_text=m2.text,
+                first_head=m1.token_end - 1,
+                second_head=m2.token_end - 1,
+                analysis=analysis,
             )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import lexicon as lx
 from .chunk import Chunk, noun_phrases, verb_groups
@@ -29,7 +30,7 @@ ROOT = -1
 _PASSIVE_AUX = frozenset({"was", "were", "is", "are", "been", "be", "being", "am"})
 
 
-@dataclass(slots=True)
+@dataclass
 class Parse:
     """A dependency parse: one head index and label per token."""
 
@@ -59,17 +60,12 @@ class Parse:
         """
         if start == end:
             return ""
-        neighbors: dict[int, list[tuple[int, str, str]]] = {}
-        for i, (h, label) in enumerate(zip(self.heads, self.labels)):
-            if h == ROOT:
-                continue
-            neighbors.setdefault(i, []).append((h, label, "^"))   # up-arc
-            neighbors.setdefault(h, []).append((i, label, "v"))   # down-arc
+        neighbors = self._neighbors
         queue = deque([(start, [])])
         seen = {start}
         while queue:
             node, steps = queue.popleft()
-            if len(steps) > max_length:
+            if len(steps) >= max_length:
                 continue
             for neighbor, label, direction in neighbors.get(node, ()):
                 if neighbor in seen:
@@ -80,6 +76,17 @@ class Parse:
                 seen.add(neighbor)
                 queue.append((neighbor, next_steps))
         return None
+
+    @cached_property
+    def _neighbors(self) -> dict[int, list[tuple[int, str, str]]]:
+        """Token -> (neighbor, label, direction) over every arc, built once."""
+        neighbors: dict[int, list[tuple[int, str, str]]] = {}
+        for i, (h, label) in enumerate(zip(self.heads, self.labels)):
+            if h == ROOT:
+                continue
+            neighbors.setdefault(i, []).append((h, label, "^"))   # up-arc
+            neighbors.setdefault(h, []).append((i, label, "v"))   # down-arc
+        return neighbors
 
     def _render_path(self, steps: list[tuple[str, str, int]]) -> str:
         parts = []

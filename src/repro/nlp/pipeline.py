@@ -1,8 +1,16 @@
-"""The one-call NLP pipeline: tokenize, tag, lemmatize, chunk, parse, NER."""
+"""The one-call NLP pipeline: tokenize, tag, lemmatize, chunk, parse, NER.
+
+Only tokens, tags and NER mentions are computed by :func:`analyze`.  The
+lemmas, NP and verb chunks and the dependency parse are computed on first
+read and then kept, so a caller pays only for the signals it reads: the
+KB build's surface-pattern extractor reads none of them, while open IE
+reads the chunks and dependency-path extraction reads the parse.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .chunk import Chunk, noun_phrases, verb_groups
@@ -15,18 +23,39 @@ from .sentences import split_sentences
 from .tokenizer import Token, tokenize
 
 
-@dataclass(slots=True)
+@dataclass
 class Analysis:
-    """Everything the pipeline knows about one sentence."""
+    """Everything the pipeline knows about one sentence.
+
+    ``text``, ``tokens``, ``tags`` and ``mentions`` are eager;
+    ``lemmas``, ``nps``, ``verb_groups`` and ``parse`` are computed from
+    the tokens and tags on first read and then kept.
+    """
 
     text: str
     tokens: list[Token]
     tags: list[str]
-    lemmas: list[str]
-    nps: list[Chunk]
-    verb_groups: list[Chunk]
-    parse: Parse
     mentions: list[MentionSpan] = field(default_factory=list)
+
+    @cached_property
+    def lemmas(self) -> list[str]:
+        """One lemma per token."""
+        return [lemma(t.text) for t in self.tokens]
+
+    @cached_property
+    def nps(self) -> list[Chunk]:
+        """The noun-phrase chunks."""
+        return noun_phrases(self.tokens, self.tags)
+
+    @cached_property
+    def verb_groups(self) -> list[Chunk]:
+        """The verb-group chunks."""
+        return verb_groups(self.tokens, self.tags)
+
+    @cached_property
+    def parse(self) -> Parse:
+        """The dependency parse."""
+        return parse(self.tokens, self.tags)
 
     def mention_at_char(self, char_start: int) -> Optional[MentionSpan]:
         """The detected mention starting at a character offset, if any."""
@@ -44,20 +73,10 @@ class Analysis:
 
 
 def analyze(text: str, gazetteer: Optional[Gazetteer] = None) -> Analysis:
-    """Run the full pipeline on one sentence."""
+    """Tokenize, tag and detect mentions in one sentence."""
     tokens = tokenize(text)
     tags = tag(tokens)
-    analysis = Analysis(
-        text=text,
-        tokens=tokens,
-        tags=tags,
-        lemmas=[lemma(t.text) for t in tokens],
-        nps=noun_phrases(tokens, tags),
-        verb_groups=verb_groups(tokens, tags),
-        parse=parse(tokens, tags),
-    )
-    analysis.mentions = detect_mentions(tokens, tags, gazetteer)
-    return analysis
+    return Analysis(text, tokens, tags, detect_mentions(tokens, tags, gazetteer))
 
 
 def analyze_document(text: str, gazetteer: Optional[Gazetteer] = None) -> list[Analysis]:
