@@ -17,7 +17,7 @@ injected false statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from .occurrences import Occurrence
@@ -119,11 +119,15 @@ class NeverEndingLearner:
         relation = candidate.relation
         subject, obj = candidate.subject, candidate.object
         # Type signature coupling.
-        if not self._type_compatible(subject, self.taxonomy.domain_of(relation)):
+        domain = self.taxonomy.domain_of(relation)
+        if domain is not None and not self.taxonomy.admits(subject, domain):
             record.rejected_by_type += 1
             return False
-        if isinstance(obj, Entity) and not self._type_compatible(
-            obj, self.taxonomy.range_of(relation)
+        rng = self.taxonomy.range_of(relation)
+        if (
+            rng is not None
+            and isinstance(obj, Entity)
+            and not self.taxonomy.admits(obj, rng)
         ):
             record.rejected_by_type += 1
             return False
@@ -143,18 +147,6 @@ class NeverEndingLearner:
                 record.rejected_by_exclusion += 1
                 return False
         return True
-
-    def _type_compatible(self, entity: Entity, expected: Optional[Entity]) -> bool:
-        if expected is None:
-            return True
-        types = self.taxonomy.types_of(entity)
-        if not types:
-            return True  # open world: unknown entities pass
-        if self.taxonomy.is_instance_of(entity, expected):
-            return True
-        return not any(
-            self.taxonomy.are_disjoint_classes(t, expected) for t in types
-        )
 
 
 def cumulative_precision(promoted: TripleStore, truth: TripleStore) -> float:

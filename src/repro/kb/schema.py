@@ -57,11 +57,11 @@ class Taxonomy:
         self._disjoint_classes: set[frozenset[Entity]] = set()
         # Memoized closures (see the class docstring): class -> proper
         # superclasses / subclasses, entity -> transitive types, and
-        # (class, class) -> disjointness.
+        # class -> the classes it excludes (see ``_excluded_by``).
         self._up: dict[Entity, frozenset[Entity]] = {}
         self._down: dict[Entity, frozenset[Entity]] = {}
         self._type_closure: dict[Entity, frozenset[Entity]] = {}
-        self._disjoint: dict[tuple[Entity, Entity], bool] = {}
+        self._excluded: dict[Entity, frozenset[Entity]] = {}
         if hasattr(source, "match"):
             store = source
             source = chain.from_iterable(
@@ -190,6 +190,21 @@ class Taxonomy:
             return True
         return cls in self._all_types(entity)
 
+    def admits(self, entity: Entity, cls: Entity) -> bool:
+        """Open-world type check: may ``entity`` stand where ``cls`` is
+        expected?
+
+        Only *known conflicting* types violate: an untyped entity and an
+        instance of ``cls`` pass, and so does an entity none of whose
+        types is :meth:`disjoint <are_disjoint_classes>` with ``cls``.
+        An entity's types include their superclasses, so that is one
+        intersection with the classes ``cls`` excludes.
+        """
+        types = self._all_types(entity)
+        if not types or cls == ns.THING or cls in types:
+            return True
+        return self._excluded_by(cls).isdisjoint(types)
+
     # ---------------------------------------------------------------- schema
 
     def domain_of(self, relation: Relation) -> Optional[Entity]:
@@ -222,18 +237,26 @@ class Taxonomy:
 
     def are_disjoint_classes(self, c1: Entity, c2: Entity) -> bool:
         """True if some declared-disjoint pair subsumes (c1, c2)."""
-        answer = self._disjoint.get((c1, c2))
-        if answer is None:
-            ancestors1 = self.superclasses(c1, include_self=True)
-            ancestors2 = self.superclasses(c2, include_self=True)
-            answer = False
-            for pair in self._disjoint_classes:  # det: allow-unordered -- symmetric membership test
-                a, b = tuple(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
-                if (a in ancestors1 and b in ancestors2) or (b in ancestors1 and a in ancestors2):
-                    answer = True
-                    break
-            self._disjoint[(c1, c2)] = answer
-        return answer
+        excluded = self._excluded_by(c2)
+        return c1 in excluded or not excluded.isdisjoint(self._ancestors(c1))
+
+    def _excluded_by(self, cls: Entity) -> frozenset[Entity]:
+        """The classes declared disjoint with ``cls`` or a superclass of
+        it, memoized: a class is disjoint with ``cls`` iff it or one of
+        its superclasses is in this set.  A declared pair {a, b} that
+        meets ``cls``'s superclasses contributes its other member, or
+        both when both are superclasses (a single-class pair, its
+        class)."""
+        excluded = self._excluded.get(cls)
+        if excluded is None:
+            ancestors = self.superclasses(cls, include_self=True)
+            excluded = self._excluded[cls] = frozenset(
+                member
+                for pair in self._disjoint_classes  # det: allow-unordered -- builds a set
+                if not pair.isdisjoint(ancestors)
+                for member in (pair - ancestors or pair)
+            )
+        return excluded
 
     def type_violations(self, store: TripleStore) -> list:
         """Triples whose subject/object types violate domain/range declarations.

@@ -17,8 +17,9 @@ keeps working when surface patterns break (passives, inversions).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from . import lexicon as lx
 from .chunk import Chunk, noun_phrases, verb_groups
@@ -38,7 +39,6 @@ class Parse:
     tags: list[str]
     heads: list[int]
     labels: list[str]
-    nps: list[Chunk] = field(default_factory=list)
 
     def children(self, index: int) -> list[int]:
         """Token indexes whose head is ``index``."""
@@ -97,16 +97,28 @@ class Parse:
         return ":".join(parts)
 
 
-def parse(tokens: list[Token], tags: list[str]) -> Parse:
-    """Parse one sentence (tokens + POS tags) into a dependency tree."""
+def parse(
+    tokens: list[Token],
+    tags: list[str],
+    nps: Optional[list[Chunk]] = None,
+    vgs: Optional[list[Chunk]] = None,
+) -> Parse:
+    """Parse one sentence (tokens + POS tags) into a dependency tree.
+
+    ``nps`` and ``vgs`` are the sentence's noun-phrase and verb-group
+    chunks when the caller already has them; they are chunked here when
+    not given.
+    """
     n = len(tokens)
     heads = [ROOT] * n
     labels = ["dep"] * n
     if n == 0:
         return Parse(tokens, tags, heads, labels)
 
-    nps = noun_phrases(tokens, tags)
-    vgs = verb_groups(tokens, tags)
+    if nps is None:
+        nps = noun_phrases(tokens, tags)
+    if vgs is None:
+        vgs = verb_groups(tokens, tags)
 
     np_heads = _attach_np_internals(tokens, tags, nps, heads, labels)
     verb_head, passive = _attach_verb_group(tokens, tags, vgs, heads, labels)
@@ -120,7 +132,7 @@ def parse(tokens: list[Token], tags: list[str]) -> Parse:
     )
     _attach_coordination(tokens, tags, np_heads, heads, labels)
     _attach_leftovers(heads, labels, main)
-    return Parse(tokens, tags, heads, labels, nps=nps)
+    return Parse(tokens, tags, heads, labels)
 
 
 def _attach_np_internals(tokens, tags, nps, heads, labels) -> list[int]:

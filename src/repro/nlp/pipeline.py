@@ -54,8 +54,8 @@ class Analysis:
 
     @cached_property
     def parse(self) -> Parse:
-        """The dependency parse."""
-        return parse(self.tokens, self.tags)
+        """The dependency parse, over this analysis's own chunks."""
+        return parse(self.tokens, self.tags, self.nps, self.verb_groups)
 
     def mention_at_char(self, char_start: int) -> Optional[MentionSpan]:
         """The detected mention starting at a character offset, if any."""

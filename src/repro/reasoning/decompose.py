@@ -8,8 +8,13 @@ components, and the global optimum is exactly the union of per-component
 optima — so the components can be solved independently, with no loss of
 quality.
 
-This module finds the components (union-find over variables co-occurring
-in a clause) and solves them:
+This module finds the components of any instance (:func:`decompose`:
+union-find over variables co-occurring in a clause) and solves them.  The
+consistency reasoner does not call :func:`decompose`: no clause of its
+crosses a subject, so it grounds and splits each subject locally and hands
+:func:`solve_decomposed` the same :class:`Decomposition` directly.
+:func:`decompose` stays the general API, which E4b's monolithic-versus-
+decomposed comparison and the tests use.  Solving:
 
 * variables touched only by their own soft unit clause(s) of one polarity
   are decided **closed-form** (assign the satisfying polarity; no search);
@@ -22,7 +27,8 @@ in a clause) and solves them:
   the component's canonical key — *not* of its position — and
   a flip budget scaled to the component size;
 * the per-component ``(hard, soft)`` costs and assignments merge in
-  sorted-canonical-key order.
+  sorted-canonical-key order, then the closed-form variables in canonical
+  order.
 
 Because the route, seed and budget of a component depend only on its
 content, and the merge order depends only on the canonical keys, the result
@@ -90,6 +96,8 @@ class Component:
 class Decomposition:
     """The shattered instance: closed-form variables plus components."""
 
+    #: Closed-form variables and their values, in canonical
+    #: (stable_str_key) order.
     trivial: dict[Hashable, bool] = field(default_factory=dict)
     components: list[Component] = field(default_factory=list)
 
@@ -134,6 +142,10 @@ def decompose(problem: WeightedMaxSat) -> Decomposition:
                 break
         if closed_form and polarity is not None:
             trivial[variable] = polarity
+    trivial = {
+        variable: trivial[variable]
+        for variable in sorted(trivial, key=stable_str_key)
+    }
 
     # Union-find over the non-trivial variables of each clause.
     parent: dict[Hashable, Hashable] = {}
@@ -238,6 +250,5 @@ def solve_decomposed(
             soft_cost += result.soft_cost
             hard_violations += result.hard_violations
             flips += result.flips
-    for variable in sorted(decomposition.trivial, key=stable_str_key):
-        assignment[variable] = decomposition.trivial[variable]
+    assignment.update(decomposition.trivial)
     return MaxSatResult(assignment, soft_cost, hard_violations, flips)

@@ -165,6 +165,10 @@ class WeightedMaxSat:
         bound prunes branches whose already-lost cost reaches the
         incumbent's, so among equally good assignments the first one in
         that order is returned.
+
+        The search runs on positions in that order: a clause is a tuple of
+        (position, polarity) literals, and the partial assignment at depth
+        ``d`` is the first ``d`` entries of one values list.
         """
         variables = self.variables
         if len(variables) > max_variables:
@@ -175,44 +179,53 @@ class WeightedMaxSat:
         for clause in self._clauses:
             for v, __ in clause.literals:
                 involvement[v] += 1
-        order = sorted(variables, key=lambda v: (-involvement[v], repr(v)))
+        # ``variables`` is in ``repr`` order and the sort is stable, so ties
+        # in involvement keep it.
+        order = sorted(variables, key=lambda v: -involvement[v])
+        position = {v: index for index, v in enumerate(order)}
+        # (literals, depth at which every literal is decided, weight), in
+        # clause order: the soft cost sums in that order, as it always has.
+        indexed = []
+        for clause in self._clauses:
+            literals = tuple(
+                (position[v], polarity) for v, polarity in clause.literals
+            )
+            decided = 1 + max(index for index, __ in literals)
+            indexed.append((literals, decided, clause.weight))
+        values = [False] * len(order)
 
-        best_assignment: dict[Hashable, bool] = {}
+        best_values: list[bool] = []
         best_key: tuple[float, float] = (float("inf"), float("inf"))
 
-        def lost_so_far(assignment: dict[Hashable, bool]) -> tuple[int, float]:
-            """Cost of clauses already falsified by the partial assignment."""
+        def lost_so_far(depth: int) -> tuple[int, float]:
+            """Cost of clauses already falsified by the first ``depth`` values."""
             hard = 0
             soft = 0.0
-            for clause in self._clauses:
-                decided_false = all(
-                    v in assignment and assignment[v] != polarity
-                    for v, polarity in clause.literals
-                )
-                if decided_false:
-                    if clause.is_hard:
+            for literals, decided, weight in indexed:
+                if decided <= depth and all(
+                    values[index] != polarity for index, polarity in literals
+                ):
+                    if weight == HARD:
                         hard += 1
                     else:
-                        soft += clause.weight
+                        soft += weight
             return hard, soft
 
-        def descend(index: int, assignment: dict[Hashable, bool]) -> None:
-            nonlocal best_assignment, best_key
-            lost = lost_so_far(assignment)
+        def descend(depth: int) -> None:
+            nonlocal best_values, best_key
+            lost = lost_so_far(depth)
             if lost >= best_key:
                 return
-            if index == len(order):
-                if lost < best_key:
-                    best_key = lost
-                    best_assignment = dict(assignment)
+            if depth == len(order):
+                best_key = lost
+                best_values = list(values)
                 return
-            variable = order[index]
             for value in (True, False):
-                assignment[variable] = value
-                descend(index + 1, assignment)
-                del assignment[variable]
+                values[depth] = value
+                descend(depth + 1)
 
-        descend(0, {})
+        descend(0)
+        best_assignment = dict(zip(order, best_values))
         hard, soft = best_key
         if _obs.ENABLED:
             _obs.count("maxsat.solve_calls")

@@ -95,6 +95,14 @@ class TestSignatures:
         assert taxonomy.are_disjoint_classes(ORG, SCIENTIST)
         assert not taxonomy.are_disjoint_classes(SCIENTIST, PHYSICIST)
 
+    def test_admits_is_open_world(self, taxonomy):
+        assert taxonomy.admits(EINSTEIN, PERSON)        # an instance
+        assert taxonomy.admits(EINSTEIN, ns.THING)
+        assert not taxonomy.admits(EINSTEIN, ORG)       # disjoint types
+        assert not taxonomy.admits(ACME, SCIENTIST)
+        assert taxonomy.admits(ACME, CITY)              # nothing conflicts
+        assert taxonomy.admits(Entity("w:unknown"), ORG)  # untyped
+
     def test_type_violations(self, taxonomy, store):
         data = TripleStore(
             [

@@ -362,8 +362,12 @@ class TestInstrumentedComponents:
         stages = {entry["stage"] for entry in obs.stage_breakdown()}
         assert "consistency.clean" in stages
         assert "consistency.clean/consistency.solve" in stages
+        # Grounding splits each subject into its components, so no global
+        # decompose runs inside clean.
+        assert "consistency.clean/consistency.ground" in stages
         assert (
-            "consistency.clean/consistency.solve/maxsat.decompose" in stages
+            "consistency.clean/consistency.solve/maxsat.decompose"
+            not in stages
         )
         counters = obs.report_json()["counters"]
         # Component-decomposed solving: one solve call per component, and

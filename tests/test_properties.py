@@ -507,6 +507,13 @@ class TestTaxonomyMemoVsBFS:
                 )
                 for c in classes:
                     assert taxonomy.is_instance_of(e, c) == (c in types_of(e))
+                    # Open world: only a known type disjoint with c conflicts.
+                    assert taxonomy.admits(e, c) == (
+                        c in types_of(e)
+                        or not any(
+                            disjoint_classes(t, c) for t in types_of(e)
+                        )
+                    )
                 got_types.clear()
 
 

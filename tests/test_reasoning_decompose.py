@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.determinism.stable import stable_hash
 from repro.kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from repro.extraction.consistency import ConsistencyReasoner
+from repro.pipeline import KnowledgeBaseBuilder
 from repro.reasoning import (
     HARD,
     WeightedMaxSat,
@@ -20,6 +22,8 @@ from repro.reasoning import (
     solve_decomposed,
 )
 from repro.reasoning.decompose import EXACT_MAX_VARIABLES
+from repro.world import schema as ws
+from repro.world.scenarios import SCENARIOS, build_scenario
 
 
 def _two_component_problem(x0_weight: float = 0.9) -> WeightedMaxSat:
@@ -72,6 +76,14 @@ class TestDecompose:
             if index not in trivial_units
         ]
         assert covered == expected
+
+    def test_trivial_variables_are_in_canonical_order(self):
+        problem = WeightedMaxSat()
+        for name in ("z1", "z0", "y"):
+            problem.add_soft_unit(name, True, 1.0)
+        decomposition = decompose(problem)
+        assert list(decomposition.trivial) == ["y", "z0", "z1"]
+        assert list(solve_decomposed(problem).assignment) == ["y", "z0", "z1"]
 
     def test_negative_polarity_units_are_trivial_too(self):
         problem = WeightedMaxSat()
@@ -317,3 +329,209 @@ class TestCleanedKbCrossBackend:
         assert (
             report.accepted + report.rejected == report.candidates
         )
+
+
+# ------------------------------------------ per-subject clean vs oracle
+
+def _global_oracle(reasoner: ConsistencyReasoner, candidates, seed: int = 0):
+    """Clean through one global instance and one global ``decompose``:
+    the reference the per-subject ``clean`` must reproduce exactly."""
+    problem, triples, report = reasoner.ground(candidates)
+    decomposition = decompose(problem)
+    result = solve_decomposed(problem, seed=seed, decomposition=decomposition)
+    report.components = len(decomposition.components)
+    report.largest_component = decomposition.largest_component
+    report.trivial_vars = len(decomposition.trivial)
+    report.soft_cost = result.soft_cost
+    report.hard_violations = result.hard_violations
+    accepted = [
+        triple for key, triple in triples.items() if result.assignment[key]
+    ]
+    report.accepted = len(accepted)
+    report.rejected = len(triples) - len(accepted)
+    return accepted, report
+
+
+def _naive_clauses(reasoner: ConsistencyReasoner, candidates):
+    """The global instance's clauses, grounded family by family over the
+    whole candidate set (keys in ``repr`` order): what ``ground`` builds
+    from its per-subject grounding."""
+    taxonomy = reasoner.taxonomy
+    triples = {triple.spo(): triple for triple in candidates}
+    keys = sorted(triples, key=repr)
+    clauses = [
+        (((key, True),), max(triples[key].confidence, 0.05)) for key in keys
+    ]
+    relations = [key for key in keys if isinstance(key[1], Relation)]
+
+    def pairs(groups, keep=lambda a, b: True):
+        for group in groups.values():
+            for i, first in enumerate(group):
+                for second in group[i + 1:]:
+                    if keep(first, second):
+                        clauses.append((((first, False), (second, False)), HARD))
+
+    if reasoner.use_functionality:
+        groups: dict = {}
+        for key in relations:
+            if taxonomy.is_functional(key[1]):
+                groups.setdefault(key[:2], []).append(key)
+        pairs(groups)
+    if reasoner.use_types:
+        for subject, relation, obj in relations:
+            domain = taxonomy.domain_of(relation)
+            rng = taxonomy.range_of(relation)
+            if (
+                domain is not None and isinstance(subject, Entity)
+                and not taxonomy.admits(subject, domain)
+            ) or (
+                rng is not None and isinstance(obj, Entity)
+                and not taxonomy.admits(obj, rng)
+            ):
+                clauses.append(((((subject, relation, obj), False),), HARD))
+    if reasoner.use_disjointness:
+        eligible = taxonomy.relations_with_disjointness()
+        groups = {}
+        for key in relations:
+            if key[1] in eligible:
+                groups.setdefault((key[0], key[2]), []).append(key)
+        pairs(
+            groups,
+            lambda a, b: taxonomy.are_disjoint_relations(a[1], b[1]),
+        )
+    return clauses
+
+
+_ABLATIONS = [
+    {},
+    {"use_functionality": False},
+    {"use_types": False},
+    {"use_disjointness": False},
+]
+
+
+def _oracle_candidates(world) -> list[Triple]:
+    """The noisy candidates plus mistyped facts, so that every clause
+    family is grounded: a company as a birthplace (range) and a company
+    born somewhere (domain)."""
+    mistyped = []
+    for index, person in enumerate(world.people[:6]):
+        company = world.companies[index % len(world.companies)]
+        mistyped.append(
+            Triple(person, ws.BORN_IN, company, confidence=0.7, source="test")
+        )
+        mistyped.append(
+            Triple(
+                company, ws.BORN_IN, world.cities[index % len(world.cities)],
+                confidence=0.6, source="test",
+            )
+        )
+    return list(_noisy_candidates(world)) + mistyped
+
+
+def _clique_candidates(world) -> list[Triple]:
+    """A functional clique above the exact cutoff (so it takes the WalkSAT
+    route under its content-derived seed), among some ordinary facts."""
+    person = world.people[0]
+    clique = [
+        Triple(
+            person, ws.BORN_IN, Entity(f"world:Decoy{index:02d}"),
+            confidence=round(0.3 + 0.04 * (index * 7 % 17), 3), source="test",
+        )
+        for index in range(EXACT_MAX_VARIABLES + 2)
+    ]
+    return clique + list(_noisy_candidates(world))[:200]
+
+
+class TestPerSubjectCleanMatchesGlobalOracle:
+    @pytest.fixture(scope="class")
+    def taxonomy(self, world):
+        return Taxonomy(world.store)
+
+    @pytest.fixture(scope="class")
+    def candidates(self, world):
+        return TripleStore(_oracle_candidates(world))
+
+    @pytest.mark.parametrize("ablation", _ABLATIONS, ids=str)
+    def test_report_and_accepted_equal_the_oracle(
+        self, taxonomy, candidates, ablation
+    ):
+        reasoner = ConsistencyReasoner(taxonomy, **ablation)
+        expected, expected_report = _global_oracle(reasoner, candidates)
+        cleaned, report = reasoner.clean(list(candidates))
+        assert report == expected_report
+        assert cleaned == expected
+        assert report.components > 0
+        if not ablation:
+            assert report.functional_clauses > 0
+            assert report.type_clauses > 0
+            assert report.disjoint_clauses > 0
+
+    @pytest.mark.parametrize("ablation", _ABLATIONS, ids=str)
+    def test_ground_holds_the_naive_global_clauses(
+        self, taxonomy, candidates, ablation
+    ):
+        reasoner = ConsistencyReasoner(taxonomy, **ablation)
+        problem, __, __ = reasoner.ground(candidates)
+        assert [
+            (clause.literals, clause.weight) for clause in problem.clauses
+        ] == _naive_clauses(reasoner, candidates)
+
+    def test_input_order_and_form_do_not_matter(self, taxonomy, candidates):
+        import random
+
+        reasoner = ConsistencyReasoner(taxonomy)
+        expected, expected_report = _global_oracle(reasoner, candidates)
+        shuffled = list(candidates)
+        random.Random(5).shuffle(shuffled)
+        cleaned, report = reasoner.clean(shuffled)
+        assert (cleaned, report) == (expected, expected_report)
+        store, store_report = reasoner.clean(candidates)
+        assert isinstance(store, TripleStore)
+        assert (list(store), store_report) == (expected, expected_report)
+
+    def test_walksat_clique_equals_the_oracle(
+        self, world, taxonomy, monkeypatch
+    ):
+        seeds: list[int] = []
+        solve = WeightedMaxSat.solve
+
+        def recording_solve(problem, seed=0, **kwargs):
+            seeds.append(seed)
+            return solve(problem, seed=seed, **kwargs)
+
+        monkeypatch.setattr(WeightedMaxSat, "solve", recording_solve)
+        candidates = _clique_candidates(world)
+        reasoner = ConsistencyReasoner(taxonomy)
+        expected, expected_report = _global_oracle(reasoner, candidates, 3)
+        oracle_seeds, seeds[:] = list(seeds), []
+        cleaned, report = reasoner.clean(candidates, seed=3)
+        assert report.largest_component > EXACT_MAX_VARIABLES
+        assert (cleaned, report) == (expected, expected_report)
+        # One WalkSAT component, seeded from its first fact's key.
+        first = min(
+            (t.spo() for t in candidates if t.predicate == ws.BORN_IN
+             and t.subject == world.people[0]),
+            key=repr,
+        )
+        assert seeds == oracle_seeds == [stable_hash((3, repr(first)))]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_clean_equals_the_oracle(name, monkeypatch):
+    """At full scenario size: the facts and taxonomy one build cleans,
+    cleaned per subject and through the global oracle."""
+    captured = []
+    clean = ConsistencyReasoner.clean
+
+    def capturing_clean(reasoner, candidates, seed=0):
+        captured.append((list(candidates), reasoner.taxonomy))
+        return clean(reasoner, candidates, seed)
+
+    monkeypatch.setattr(ConsistencyReasoner, "clean", capturing_clean)
+    bundle = build_scenario(name)
+    KnowledgeBaseBuilder(bundle.wiki, aliases=bundle.world.aliases).build()
+    ((facts, taxonomy),) = captured
+    reasoner = ConsistencyReasoner(taxonomy)
+    expected, expected_report = _global_oracle(reasoner, facts)
+    assert clean(reasoner, facts) == (expected, expected_report)

@@ -1,5 +1,7 @@
 """Tests for repro.reasoning.maxsat."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,3 +116,58 @@ class TestSolver:
         assert len(true_vars) <= 1
         optimal_cost = sum(weights) - max(weights)
         assert result.soft_cost == pytest.approx(optimal_cost, rel=1e-6)
+
+
+def _brute_force_exact(problem: WeightedMaxSat):
+    """``solve_exact``'s documented answer by plain enumeration.
+
+    Variables in branching order (clause involvement, then ``repr``);
+    assignments in depth-first order, True before False; the cost of each
+    sums the falsified soft clauses in clause order; the first strict
+    optimum is kept.
+    """
+    involvement = {v: 0 for v in problem.variables}
+    for clause in problem.clauses:
+        for variable, __ in clause.literals:
+            involvement[variable] += 1
+    order = sorted(problem.variables, key=lambda v: (-involvement[v], repr(v)))
+    best = None
+    for values in itertools.product((True, False), repeat=len(order)):
+        assignment = dict(zip(order, values))
+        hard = 0
+        soft = 0.0
+        for clause in problem.clauses:
+            if not clause.satisfied(assignment):
+                if clause.is_hard:
+                    hard += 1
+                else:
+                    soft += clause.weight
+        if best is None or (hard, soft) < best[0]:
+            best = ((hard, soft), assignment)
+    return best
+
+
+_LITERAL = st.tuples(st.integers(0, 7), st.booleans())
+_CLAUSE = st.tuples(
+    st.lists(_LITERAL, min_size=1, max_size=3),
+    # Few distinct weights, so equal-cost ties are common.
+    st.sampled_from([HARD, 0.1, 0.2, 0.3, 0.5, 1.0]),
+)
+
+
+class TestExactSolverProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.lists(_CLAUSE, min_size=1, max_size=14))
+    def test_equals_brute_force_bit_for_bit(self, variables, clauses):
+        problem = WeightedMaxSat()
+        for literals, weight in clauses:
+            problem.add_clause(
+                [(f"v{index % variables}", polarity) for index, polarity in literals],
+                weight,
+            )
+        (hard, soft), assignment = _brute_force_exact(problem)
+        result = problem.solve_exact()
+        assert list(result.assignment.items()) == list(assignment.items())
+        assert result.hard_violations == hard
+        assert result.soft_cost == soft
+        assert result.flips == 0
