@@ -31,6 +31,7 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.eval import print_table
 from repro.kb import TripleStore, diff_segment_dirs, open_snapshot, write_segments
 from repro.obs.core import Histogram
@@ -77,6 +78,26 @@ def _replay(engine: QueryEngine, ops: list[tuple]) -> tuple[Histogram, list[str]
         histogram.observe(time.perf_counter() - t0)
         digests.append(json.dumps(payload, sort_keys=True))
     return histogram, digests
+
+
+def _bloom_stats(snap, ops: list[tuple]) -> dict[str, float]:
+    """Snapshot probes and bloom skips over one untimed replay of ``ops``,
+    read from the ``repro.obs`` registry (off during the timed replays)."""
+    obs.reset()
+    obs.enable()
+    try:
+        _replay(QueryEngine(snap, cache_size=1), ops)
+        counters = obs.core.counters()
+    finally:
+        obs.disable()
+        obs.reset()
+    return {
+        "probes": sum(
+            value for name, value in counters.items()
+            if name.startswith("kb.segments.match.shape.")
+        ),
+        "bloom_skips": counters.get("kb.segments.bloom_skips", 0),
+    }
 
 
 def _build_store(bench_world) -> TripleStore:
@@ -157,7 +178,7 @@ def test_e19_cold_vs_warm_serving(benchmark, bench_world, tmp_path):
 
     snap = open_snapshot(directory)
     # The in-memory twin is loaded from the snapshot so both engines
-    # share content, epoch, and version — responses must be byte-equal.
+    # share content and epoch — responses must be byte-equal.
     warm_store = TripleStore(snap)
 
     cold_engine = QueryEngine(snap, cache_size=1)  # effectively uncached
@@ -186,7 +207,7 @@ def test_e19_cold_vs_warm_serving(benchmark, bench_world, tmp_path):
     benchmark.extra_info["second_pass_p99_us"] = second_hist.p99 * 1e6
     benchmark.extra_info["warm_p50_us"] = warm_hist.p50 * 1e6
     benchmark.extra_info["warm_p99_us"] = warm_hist.p99 * 1e6
-    benchmark.extra_info["bloom_stats"] = dict(snap.stats)
+    benchmark.extra_info["bloom_stats"] = _bloom_stats(snap, ops)
     benchmark.extra_info["byte_identical_cold_vs_warm"] = True
 
     benchmark(lambda: _replay(QueryEngine(snap, cache_size=1), ops[:200]))

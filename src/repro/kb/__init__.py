@@ -19,8 +19,7 @@ from .terms import (
     decimal_literal,
 )
 from .triple import ALWAYS, TimeSpan, Triple
-from .engine import InMemoryEngine, ReadableStore
-from .store import MutationCounts, TripleStore, canonical_triples
+from .store import ReadableStore, TripleStore, canonical_triples
 from .segments import (
     SegmentSnapshot,
     SegmentStore,
@@ -48,9 +47,7 @@ __all__ = [
     "ALWAYS",
     "TimeSpan",
     "Triple",
-    "InMemoryEngine",
     "ReadableStore",
-    "MutationCounts",
     "TripleStore",
     "canonical_triples",
     "SegmentSnapshot",

@@ -58,7 +58,7 @@ and old ones unlinked; because POSIX keeps unlinked-but-open mmaps
 readable, snapshots opened before a compaction keep working lock-free.
 
 :class:`SegmentSnapshot` is the read side: a cheap, immutable,
-lock-free view satisfying :class:`~repro.kb.engine.ReadableStore`, with
+lock-free view satisfying :class:`~repro.kb.store.ReadableStore`, with
 ``match`` orders chosen so that its responses are byte-identical to an
 in-memory :class:`~repro.kb.store.TripleStore` loaded from the same
 snapshot (see ``_match_parts``).
@@ -524,12 +524,10 @@ class SegmentSnapshot:
     Opening a snapshot reads the manifest and mmaps segment files —
     no locks, no copies — so any number of threads or processes can serve
     the same build concurrently.  It satisfies the
-    :class:`~repro.kb.engine.ReadableStore` contract: ``version`` is the
-    logical triple count (what a fresh in-memory load would also report)
-    and ``epoch`` is the manifest's content-chain epoch, so
-    ``TripleStore(snapshot)`` agrees with the snapshot on both — the
-    property that makes snapshot serving byte-identical to in-memory
-    serving.
+    :class:`~repro.kb.store.ReadableStore` contract: ``epoch`` is the
+    manifest's content-chain epoch, so ``TripleStore(snapshot)`` agrees
+    with the snapshot on it — part of what makes snapshot serving
+    byte-identical to in-memory serving.
 
     A snapshot has no mutation methods: load it into a
     :class:`~repro.kb.store.TripleStore` to change it.
@@ -569,15 +567,8 @@ class SegmentSnapshot:
         self._has_tombstones = any(
             entry.get("tombstones") for entry in self.manifest["segments"]
         )
-        self.stats = {"probes": 0, "bloom_skips": 0}
 
     # ------------------------------------------------------------ identity
-
-    @property
-    def version(self) -> int:
-        """The logical triple count — equal to the ``version`` a fresh
-        :class:`TripleStore` loaded from this snapshot reports."""
-        return self.manifest["triples"]
 
     @property
     def epoch(self) -> str:
@@ -633,18 +624,18 @@ class SegmentSnapshot:
             2: None if obj is None else term_to_text(obj),
         }
         prefix = _prefix_bytes(texts[i] for i in positions)
-        self.stats["probes"] += 1
         if _obs.ENABLED:
             _obs.count(f"kb.segments.match.shape.{shape}")
         batches = []
         for segment in self._segments:
-            if shape == "spo" and not segment.bloom("spo").might_contain(prefix):
-                self.stats["bloom_skips"] += 1
-                continue
-            if shape in ("s", "sp") and not segment.bloom("s").might_contain(
-                texts[0].encode("utf-8")
+            if (
+                shape == "spo" and not segment.bloom("spo").might_contain(prefix)
+            ) or (
+                shape in ("s", "sp")
+                and not segment.bloom("s").might_contain(texts[0].encode("utf-8"))
             ):
-                self.stats["bloom_skips"] += 1
+                if _obs.ENABLED:
+                    _obs.count("kb.segments.bloom_skips")
                 continue
             handle = segment.order_file(order)
             lo, hi = handle.prefix_range(prefix)

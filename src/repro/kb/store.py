@@ -1,28 +1,30 @@
 """A hash-indexed in-memory triple store.
 
-The store is policy over a storage engine (see :mod:`repro.kb.engine`):
-deduplication on the (s, p, o) key with highest-confidence witness
-election, the monotonic ``version`` counter, the content-chain ``epoch``
-identity, and observability.  Each store builds its own
-:class:`~repro.kb.engine.InMemoryEngine` — three single-position indexes
-(S, P, O) and two composite indexes (SP, PO) so every triple-pattern
-shape resolves to a dictionary lookup rather than a scan.
-The on-disk counterpart, :class:`~repro.kb.segments.SegmentSnapshot`,
-shares the read contract (:class:`~repro.kb.engine.ReadableStore`) but is
-immutable.
+:class:`TripleStore` deduplicates on the (s, p, o) key with
+highest-confidence witness election, maintains the content ``epoch``
+identity, and counts its reads and writes for observability.  Besides
+one primary ``spo -> Triple`` map it keeps three single-position indexes
+(S, P, O) and two composite indexes (SP, PO), so every triple-pattern
+shape resolves to a dictionary lookup rather than a scan.  The on-disk
+counterpart, :class:`~repro.kb.segments.SegmentSnapshot`, shares the
+read contract (:class:`ReadableStore`) but is immutable.
 
 A store pays for its derived state only when it is read.  An insert
-writes the primary ``spo -> Triple`` map and bumps ``version``; the five
-bucket indexes are built by the first pattern read and the content
-``epoch`` by its first read, and both are maintained incrementally from
-then on.  A store that is filled and then only iterated — a build's KB
-on its way to ``--out`` or a segment writer, an ingest delta's rebuilt
-KB on its way to the diff — never hashes a triple or fills a bucket.
+writes the primary map; the five bucket indexes are built by the first
+pattern read and the content ``epoch`` by its first read, and both are
+maintained incrementally from then on.  A store that is filled and then
+only iterated — a build's KB on its way to ``--out`` or a segment writer,
+an ingest delta's rebuilt KB on its way to the diff — never hashes a
+triple or fills a bucket.
 
 Index buckets are insertion-ordered dicts used as ordered sets (value is
 always None), NOT builtin sets: ``match`` results must iterate in an order
 that does not depend on the per-process ``PYTHONHASHSEED``, because callers
 feed that order into seeded RNGs (corpus synthesis) and into the KB itself.
+The index dicts are deliberately *plain* dicts maintained with explicit
+``setdefault`` — never ``defaultdict`` — so a stray keyed read can only
+raise, not auto-vivify an empty bucket that would skew ``count()`` and
+bucket-size telemetry.
 
 This is the substrate everything else in the toolkit writes into: the
 synthetic-world generator, every extractor, the consistency reasoner, and the
@@ -32,13 +34,23 @@ NED and linkage components all read and write :class:`TripleStore` instances.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator, Optional
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
-from .engine import InMemoryEngine
 from .terms import Entity, Literal, Resource, Term
 from .triple import Triple
 from . import ns
 from ..obs import core as _obs
+
+#: The (subject, predicate, object) key every index speaks.
+SpoKey = tuple[Resource, Resource, Term]
 
 #: Domain separator folded into every per-triple content hash.
 _EPOCH_DOMAIN = b"repro-kb-epoch-v1:"
@@ -88,47 +100,64 @@ def canonical_triples(triples: Iterable[Triple]) -> list[Triple]:
     return [witness[key] for key in sorted(witness, key=repr)]
 
 
-class MutationCounts(int):
-    """The result of a batched mutation: an ``int`` that still knows more.
+@runtime_checkable
+class ReadableStore(Protocol):
+    """The read contract shared by :class:`TripleStore` and
+    :class:`~repro.kb.segments.SegmentSnapshot`.
 
-    Compares and arithmetics as the number of *new* triples (the
-    historical ``add_all``/``merge`` contract, so existing callers keep
-    working), while exposing the mutations that int silently omitted:
-
-    * ``new`` — triples whose (s, p, o) key was not present before;
-    * ``replaced`` — duplicates that won witness election (strictly higher
-      confidence) and therefore bumped ``version``;
-    * ``changed`` — ``new + replaced``: every mutation that invalidated
-      caches.  Callers detecting change must test this, not the int value.
+    ``epoch`` is a content digest (hex) that two stores share only if
+    they hold identical triples.  The query layer (:mod:`repro.kb.query`)
+    and the serving layer (:mod:`repro.serving`) are written against this
+    protocol; only the in-memory store has write methods, and a reader of
+    this protocol never writes.
     """
 
-    new: int
-    replaced: int
-
-    def __new__(cls, new: int, replaced: int) -> "MutationCounts":
-        self = super().__new__(cls, new)
-        self.new = new
-        self.replaced = replaced
-        return self
-
     @property
-    def changed(self) -> int:
-        """Mutations that changed observable state (and bumped version)."""
-        return self.new + self.replaced
+    def epoch(self) -> str: ...
 
-    def __repr__(self) -> str:
-        return f"MutationCounts(new={self.new}, replaced={self.replaced})"
+    def match(
+        self,
+        subject: Optional[Resource] = None,
+        predicate: Optional[Resource] = None,
+        obj: Optional[Term] = None,
+    ) -> Iterator[Triple]: ...
+
+    def count(
+        self,
+        subject: Optional[Resource] = None,
+        predicate: Optional[Resource] = None,
+        obj: Optional[Term] = None,
+    ) -> int: ...
+
+    def get(
+        self, subject: Resource, predicate: Resource, obj: Term
+    ) -> Optional[Triple]: ...
+
+    def contains_fact(
+        self, subject: Resource, predicate: Resource, obj: Term
+    ) -> bool: ...
+
+    def __len__(self) -> int: ...
+
+    def __iter__(self) -> Iterator[Triple]: ...
 
 
 class TripleStore:
-    """An in-memory collection of :class:`~repro.kb.triple.Triple` objects."""
+    """An in-memory collection of :class:`~repro.kb.triple.Triple` objects.
+
+    Inserts write only the primary ``spo -> Triple`` map until the first
+    pattern read (:meth:`match`, :meth:`count`, :meth:`predicates`,
+    :meth:`index_stats`); that read builds all five bucket indexes by
+    walking the primary map in insertion order.  The bucket orders are the
+    ones eager inserts would have produced: a witness replacement keeps a
+    key's position and a delete-then-add moves it to the end, in the
+    primary map and in every bucket alike.  From then on buckets are
+    created on insert (``setdefault``) and deleted when their last key is
+    removed, so the index never holds an empty bucket — an invariant
+    :meth:`index_stats` exposes and the store tests pin.
+    """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        # Monotonic mutation counter: bumps on every observable change (new
-        # triple, higher-confidence witness replacement, removal).  The
-        # serving layer tags every response with it.  In-memory only — it
-        # never reaches the canonical serialization.
-        self._version = 0
         # Identity epoch: an incrementally maintained multiset hash of the
         # store's *content* — the sum (mod 2^128) of every live triple's
         # content digest.  Adds add the digest, removes subtract it, and a
@@ -141,36 +170,74 @@ class TripleStore:
         # sums the live triples once; the sum is order-free, so the value
         # is the one eager maintenance would have reached.
         self._epoch_acc: Optional[int] = None
-        self._engine = InMemoryEngine()
+        self._by_spo: dict[SpoKey, Triple] = {}
+        self._by_s: dict[Resource, dict[SpoKey, None]] = {}
+        self._by_p: dict[Resource, dict[SpoKey, None]] = {}
+        self._by_o: dict[Term, dict[SpoKey, None]] = {}
+        self._by_sp: dict[tuple[Resource, Resource], dict[SpoKey, None]] = {}
+        self._by_po: dict[tuple[Resource, Term], dict[SpoKey, None]] = {}
+        # True once the five bucket indexes exist (see the class doc).
+        self._indexed = False
         self.add_all(triples)
+
+    def _ensure_indexes(self) -> None:
+        """Build the five bucket indexes from the primary map, once.
+
+        The new indexes are filled aside and published before the flag,
+        so a concurrent first reader of a store nobody writes (a served
+        KB) sees either no indexes, and builds its own identical copy, or
+        complete ones: reading needs no lock.
+        """
+        if self._indexed:
+            return
+        by_s: dict = {}
+        by_p: dict = {}
+        by_o: dict = {}
+        by_sp: dict = {}
+        by_po: dict = {}
+        for key in self._by_spo:
+            s, p, o = key
+            by_s.setdefault(s, {})[key] = None
+            by_p.setdefault(p, {})[key] = None
+            by_o.setdefault(o, {})[key] = None
+            by_sp.setdefault((s, p), {})[key] = None
+            by_po.setdefault((p, o), {})[key] = None
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o
+        self._by_sp, self._by_po = by_sp, by_po
+        self._indexed = True
 
     # ------------------------------------------------------------------ write
 
-    def _apply(self, triple: Triple) -> int:
-        """Apply one triple; 1 = new, 2 = witness replaced, 0 = no-op."""
+    def _apply(self, triple: Triple) -> bool:
+        """Apply one triple; True if its key was new."""
         key = triple.spo()
-        existing = self._engine.get(key)
+        existing = self._by_spo.get(key)
         if existing is not None:
             if _obs.ENABLED:
                 _obs.count("kb.store.add.duplicate")
             if triple.confidence > existing.confidence:
-                self._engine.replace(key, triple)
-                self._version += 1
+                # The key keeps its position in the map and every bucket.
+                self._by_spo[key] = triple
                 if self._epoch_acc is not None:
                     self._epoch_acc = (
                         self._epoch_acc
                         - triple_content_hash(existing)
                         + triple_content_hash(triple)
                     ) & _EPOCH_MASK
-                return 2
-            return 0
-        self._engine.insert(key, triple)
-        self._version += 1
+            return False
+        self._by_spo[key] = triple
+        if self._indexed:
+            s, p, o = key
+            self._by_s.setdefault(s, {})[key] = None
+            self._by_p.setdefault(p, {})[key] = None
+            self._by_o.setdefault(o, {})[key] = None
+            self._by_sp.setdefault((s, p), {})[key] = None
+            self._by_po.setdefault((p, o), {})[key] = None
         if self._epoch_acc is not None:
             self._epoch_acc = (
                 self._epoch_acc + triple_content_hash(triple)
             ) & _EPOCH_MASK
-        return 1
+        return True
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; return True if it was new.
@@ -180,7 +247,7 @@ class TripleStore:
         """
         if _obs.ENABLED:
             _obs.count("kb.store.add")
-        return self._apply(triple) == 1
+        return self._apply(triple)
 
     def add_fact(
         self,
@@ -194,65 +261,62 @@ class TripleStore:
         """Convenience wrapper: build and add a triple in one call."""
         return self.add(Triple(subject, predicate, obj, confidence, source, scope))
 
-    def add_all(self, triples: Iterable[Triple]) -> MutationCounts:
-        """Add many triples; returns :class:`MutationCounts`.
+    def add_all(self, triples: Iterable[Triple]) -> int:
+        """Add many triples; return the number of *new* triples.
 
-        The returned value equals the number of *new* triples as an int
-        (the historical contract) and carries ``.replaced`` — the
-        higher-confidence witness replacements that also bumped
-        ``version``.  Change-detecting callers must look at ``.changed``:
-        a batch of replacements returns 0 as an int yet mutated the store.
+        Each duplicate elects its witness as :meth:`add` does.
         """
-        new = replaced = 0
+        new = 0
         for triple in triples:
             if _obs.ENABLED:
                 _obs.count("kb.store.add")
-            outcome = self._apply(triple)
-            if outcome == 1:
-                new += 1
-            elif outcome == 2:
-                replaced += 1
-        return MutationCounts(new, replaced)
+            new += self._apply(triple)
+        return new
 
     def remove(self, triple: Triple) -> bool:
-        """Remove the fact with this triple's (s, p, o) key, if present."""
+        """Remove the fact with this triple's (s, p, o) key, if present.
+
+        Buckets that become empty are removed outright, preserving the
+        no-empty-buckets invariant.
+        """
         if _obs.ENABLED:
             _obs.count("kb.store.remove")
         key = triple.spo()
-        existing = self._engine.get(key)
+        existing = self._by_spo.pop(key, None)
         if existing is None:
             return False
-        self._engine.delete(key)
-        self._version += 1
+        if self._indexed:
+            s, p, o = key
+            for index, index_key in (
+                (self._by_s, s),
+                (self._by_p, p),
+                (self._by_o, o),
+                (self._by_sp, (s, p)),
+                (self._by_po, (p, o)),
+            ):
+                bucket = index[index_key]
+                del bucket[key]
+                if not bucket:
+                    del index[index_key]
         if self._epoch_acc is not None:
             self._epoch_acc = (
                 self._epoch_acc - triple_content_hash(existing)
             ) & _EPOCH_MASK
         return True
 
-    def merge(self, other: "TripleStore") -> MutationCounts:
+    def merge(self, other: "TripleStore") -> int:
         """Add all of ``other``'s triples into this store, in canonical
-        (s, p, o) key order (see :func:`canonical_triples`).
+        (s, p, o) key order (see :func:`canonical_triples`); return the
+        number of new triples.
 
         Insertion order decides index-bucket iteration order, which feeds
         KB output — so merging must not depend on the other store's
         insertion *history*: a delta store assembled in any order merges
-        identically.  Same result contract as :meth:`add_all`: int value =
-        new triples, ``.replaced`` = witness replacements, ``.changed`` =
-        both.
+        identically.
         """
         return self.add_all(canonical_triples(other))
 
     # ------------------------------------------------------------------- read
-
-    @property
-    def version(self) -> int:
-        """The monotonic mutation counter (see ``__init__``).
-
-        Strictly increases across adds that change state (a new triple or a
-        replaced witness) and successful removes; reads never change it.
-        """
-        return self._version
 
     @property
     def epoch(self) -> str:
@@ -261,8 +325,8 @@ class TripleStore:
         Two stores share an epoch iff they hold identical triples —
         insertion order and mutation history don't matter, only what is
         in the store now.  A ``copy()``, ``filtered()`` view, or freshly
-        loaded store that merely *counts* to the same version as another
-        store carries a different epoch unless the content is genuinely
+        loaded store that merely holds as many triples as another store
+        carries a different epoch unless the content is genuinely
         identical, while an identical-content store (however it was
         built, including a segment snapshot of the same KB) shares it.
 
@@ -277,31 +341,55 @@ class TripleStore:
     def _sum_epoch(self) -> int:
         """The multiset-hash accumulator over the live triples."""
         accumulator = EMPTY_EPOCH
-        for triple in self._engine.triples():
+        for triple in self._by_spo.values():
             accumulator += triple_content_hash(triple)
         return accumulator & _EPOCH_MASK
 
-    @property
-    def engine(self) -> InMemoryEngine:
-        """The storage engine holding the indexes."""
-        return self._engine
-
     def __len__(self) -> int:
-        return len(self._engine)
+        return len(self._by_spo)
 
     def __iter__(self) -> Iterator[Triple]:
-        return self._engine.triples()
+        return iter(self._by_spo.values())
 
     def __contains__(self, triple: Triple) -> bool:
-        return self._engine.get(triple.spo()) is not None
+        return triple.spo() in self._by_spo
 
     def contains_fact(self, subject: Resource, predicate: Resource, obj: Term) -> bool:
         """True if a triple with this exact (s, p, o) exists."""
-        return self._engine.get((subject, predicate, obj)) is not None
+        return (subject, predicate, obj) in self._by_spo
 
     def get(self, subject: Resource, predicate: Resource, obj: Term) -> Optional[Triple]:
         """The stored witness for this (s, p, o), or None."""
-        return self._engine.get((subject, predicate, obj))
+        return self._by_spo.get((subject, predicate, obj))
+
+    def _plan(self, s, p, o) -> tuple[str, Optional[Collection[SpoKey]]]:
+        """(index shape, candidate keys) for a pattern; keys None = scan.
+
+        The shape names the index that serves the query: ``spo`` (exact),
+        ``sp``/``po`` (composite), ``s``/``p``/``o`` (single position),
+        ``s+o`` (no composite index; the smaller of the S and O buckets is
+        filtered by the other position), or ``scan`` (no binding).
+        """
+        self._ensure_indexes()
+        if s is not None and p is not None and o is not None:
+            return "spo", ([(s, p, o)] if (s, p, o) in self._by_spo else [])
+        if s is not None and p is not None:
+            return "sp", self._by_sp.get((s, p), ())
+        if p is not None and o is not None:
+            return "po", self._by_po.get((p, o), ())
+        if s is not None and o is not None:
+            s_keys = self._by_s.get(s, ())
+            o_keys = self._by_o.get(o, ())
+            small, position = (s_keys, 2) if len(s_keys) <= len(o_keys) else (o_keys, 0)
+            target = o if position == 2 else s
+            return "s+o", [k for k in small if k[position] == target]
+        if s is not None:
+            return "s", self._by_s.get(s, ())
+        if p is not None:
+            return "p", self._by_p.get(p, ())
+        if o is not None:
+            return "o", self._by_o.get(o, ())
+        return "scan", None
 
     def match(
         self,
@@ -310,16 +398,16 @@ class TripleStore:
         obj: Optional[Term] = None,
     ) -> Iterator[Triple]:
         """Iterate over triples matching a pattern; None is a wildcard."""
-        shape, keys = self._engine.plan(subject, predicate, obj)
+        shape, keys = self._plan(subject, predicate, obj)
         if _obs.ENABLED:
-            scanned = len(self._engine) if keys is None else len(keys)
+            scanned = len(self._by_spo) if keys is None else len(keys)
             _obs.count(f"kb.store.match.shape.{shape}")
             _obs.observe("kb.store.match.scanned", scanned)
         if keys is None:
-            yield from self._engine.triples()
+            yield from self._by_spo.values()
             return
         for key in keys:
-            triple = self._engine.get(key)
+            triple = self._by_spo.get(key)
             if triple is not None:
                 yield triple
 
@@ -330,21 +418,35 @@ class TripleStore:
         obj: Optional[Term] = None,
     ) -> int:
         """Number of triples matching the pattern (cheap for indexed shapes)."""
-        __, keys = self._engine.plan(subject, predicate, obj)
+        __, keys = self._plan(subject, predicate, obj)
         if keys is None:
-            return len(self._engine)
+            return len(self._by_spo)
         return len(keys)
 
     def index_stats(self) -> dict[str, dict[str, int]]:
-        """Per-index bucket telemetry (buckets / empty / largest).
+        """Bucket accounting per index: total buckets, empty buckets, and
+        the largest bucket — the numbers bucket-size telemetry reports.
 
-        ``empty`` is pinned to 0 by the engine invariant: buckets are
-        created only for a live key and dropped with their last key, and
-        reads never auto-vivify (the indexes are plain dicts, not
-        defaultdicts).  Like every pattern read, the first call builds the
-        indexes.
+        ``empty`` must always be 0: buckets are created only for a live key
+        (on insert, or by the one-time build from the primary map) and
+        removed with their last key, and reads never create them.  Like
+        every pattern read, the first call builds the indexes.
         """
-        return self._engine.index_stats()
+        self._ensure_indexes()
+        stats: dict[str, dict[str, int]] = {}
+        for name, index in (
+            ("s", self._by_s),
+            ("p", self._by_p),
+            ("o", self._by_o),
+            ("sp", self._by_sp),
+            ("po", self._by_po),
+        ):
+            stats[name] = {
+                "buckets": len(index),
+                "empty": sum(1 for bucket in index.values() if not bucket),
+                "largest": max((len(b) for b in index.values()), default=0),
+            }
+        return stats
 
     # ----------------------------------------------------------- conveniences
 
@@ -364,12 +466,13 @@ class TripleStore:
 
     def predicates(self) -> set[Resource]:
         """The set of predicates that occur in the store."""
-        return self._engine.predicates()
+        self._ensure_indexes()
+        return set(self._by_p)
 
     def entities(self) -> set[Entity]:
         """Every Entity occurring in subject or object position."""
         found: set[Entity] = set()
-        for s, __, o in self._engine.keys():
+        for s, __, o in self._by_spo:
             if isinstance(s, Entity):
                 found.add(s)
             if isinstance(o, Entity):
@@ -397,7 +500,5 @@ class TripleStore:
         return TripleStore(self)
 
     def __repr__(self) -> str:
-        return (
-            f"TripleStore(len={len(self)}, "
-            f"predicates={self._engine.predicate_count()})"
-        )
+        self._ensure_indexes()
+        return f"TripleStore(len={len(self)}, predicates={len(self._by_p)})"

@@ -6,7 +6,7 @@ path over a built KB:
 
 * :class:`~repro.serving.engine.QueryEngine` — request-oriented SPO
   lookups, conjunctive joins, and top-k-by-confidence over one frozen
-  :class:`~repro.kb.engine.ReadableStore` (a
+  :class:`~repro.kb.store.ReadableStore` (a
   :class:`~repro.kb.store.TripleStore` or a
   :class:`~repro.kb.segments.SegmentSnapshot`), read for the engine's
   whole lifetime and never written, so cache misses take no engine lock;

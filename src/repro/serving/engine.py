@@ -1,6 +1,6 @@
 """The request-oriented query engine: the serving layer's read path.
 
-:class:`QueryEngine` serves one :class:`~repro.kb.engine.ReadableStore` —
+:class:`QueryEngine` serves one :class:`~repro.kb.store.ReadableStore` —
 an in-memory :class:`~repro.kb.store.TripleStore` or an on-disk
 :class:`~repro.kb.segments.SegmentSnapshot` — behind three request shapes:
 SPO point/pattern ``lookup``, conjunctive ``query`` (reusing
@@ -8,8 +8,8 @@ SPO point/pattern ``lookup``, conjunctive ``query`` (reusing
 is memoized in a :class:`~repro.serving.cache.ResultCache`.
 
 One engine serves one frozen KB for its whole lifetime: it reads the
-store's identity pair — ``kb_epoch`` (the content digest) and
-``kb_version`` — once, at construction, and tags every response with it.
+store's content digest, ``kb_epoch``, once, at construction, and tags
+every response with it.
 Nothing writes the store while it is served, so a cached answer never
 goes stale and a cache miss computes without any engine lock: concurrent
 cold reads never queue behind one another.  Serving a new KB generation
@@ -36,9 +36,9 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..kb.engine import ReadableStore
 from ..kb.query import Pattern, Query, Slot, Var, slot_to_text
 from ..kb.rdfio import term_from_text, term_to_text
+from ..kb.store import ReadableStore
 from ..kb.terms import Entity, Relation, Term
 from ..kb.triple import Triple
 from ..obs.core import Histogram
@@ -102,6 +102,17 @@ def parse_patterns(raw: object) -> list[Pattern]:
     return patterns
 
 
+def spo_params(params: dict) -> tuple[Optional[Term], ...]:
+    """The ``s``/``p``/``o`` query parameters as terms; blank or absent
+    parameters are wildcards (None)."""
+    return tuple(
+        None
+        if params.get(position) in (None, "")
+        else parse_term(params[position], position)
+        for position in ("s", "p", "o")
+    )
+
+
 def triple_payload(triple: Triple) -> dict:
     """One triple as a JSON-able dict in wire-format term texts."""
     return {
@@ -132,7 +143,6 @@ class QueryEngine:
     def __init__(self, store: ReadableStore, cache_size: int = 1024) -> None:
         self._store = store
         self._epoch = store.epoch
-        self._version = store.version
         self._cache = ResultCache(cache_size)
         # Handler threads record latencies concurrently.
         self._stats_lock = threading.Lock()
@@ -170,7 +180,6 @@ class QueryEngine:
             )
             return {
                 "kb_epoch": self._epoch,
-                "kb_version": self._version,
                 "count": len(triples),
                 "triples": [triple_payload(t) for t in triples],
             }
@@ -229,7 +238,6 @@ class QueryEngine:
             ]
             return {
                 "kb_epoch": self._epoch,
-                "kb_version": self._version,
                 "count": len(bindings),
                 "vars": sorted(names) if select is None else list(select),
                 "bindings": bindings,
@@ -266,7 +274,6 @@ class QueryEngine:
             )
             return {
                 "kb_epoch": self._epoch,
-                "kb_version": self._version,
                 "k": k,
                 "count": min(k, len(ranked)),
                 "results": [triple_payload(t) for t in ranked[:k]],
@@ -278,13 +285,7 @@ class QueryEngine:
 
     def lookup_json(self, params: dict) -> dict:
         """``/lookup`` adapter: parse ``s``/``p``/``o`` query parameters."""
-        def term_of(name: str, position: str) -> Optional[Term]:
-            value = params.get(name)
-            if value is None or value == "":
-                return None
-            return parse_term(value, position)
-
-        return self.lookup(term_of("s", "s"), term_of("p", "p"), term_of("o", "o"))
+        return self.lookup(*spo_params(params))
 
     def query_json(self, payload: object) -> dict:
         """``/query`` adapter: parse the POSTed JSON body."""
@@ -323,23 +324,15 @@ class QueryEngine:
             k = int(raw_k)
         except (TypeError, ValueError):
             raise BadRequest(f"k must be an integer, got {raw_k!r}") from None
-
-        def term_of(name: str, position: str) -> Optional[Term]:
-            value = params.get(name)
-            if value is None or value == "":
-                return None
-            return parse_term(value, position)
-
-        return self.topk(k, term_of("s", "s"), term_of("p", "p"), term_of("o", "o"))
+        return self.topk(k, *spo_params(params))
 
     # ---------------------------------------------------------- telemetry
 
     def healthz(self) -> dict:
-        """Liveness payload: status, version, triple count."""
+        """Liveness payload: status, epoch, triple count."""
         return {
             "status": "ok",
             "kb_epoch": self._epoch,
-            "kb_version": self._version,
             "triples": len(self._store),
         }
 
@@ -355,7 +348,6 @@ class QueryEngine:
             }
         return {
             "kb_epoch": self._epoch,
-            "kb_version": self._version,
             "triples": len(self._store),
             "cache": self._cache.stats(),
             "endpoints": endpoints,
@@ -385,5 +377,5 @@ class QueryEngine:
     def __repr__(self) -> str:
         return (
             f"QueryEngine(triples={len(self._store)}, "
-            f"version={self._version}, cache={self._cache!r})"
+            f"epoch={self._epoch}, cache={self._cache!r})"
         )

@@ -17,7 +17,7 @@ identical answers are byte-identical):
   [["?x", "rel:bornIn", "?c"], ...], "select": ..., "distinct": ...,
   "order_by": ..., "limit": ...}``
 * ``GET /topk?k=&s=&p=&o=``  — top-k matching triples by confidence
-* ``GET /healthz``           — liveness + KB version/size
+* ``GET /healthz``           — liveness + KB epoch/size
 * ``GET /metrics``           — cache accounting + per-endpoint latency
 
 Malformed input is a 400 with ``{"error": ...}``; unknown paths are 404;
@@ -33,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from ..kb.engine import ReadableStore
+from ..kb.store import ReadableStore
 from .engine import BadRequest, QueryEngine
 
 #: Handler threads when ``workers == 0`` (the "serve --workers" default).

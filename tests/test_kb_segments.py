@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.kb import (
     Entity,
     Relation,
@@ -185,7 +186,6 @@ class TestSnapshotReads:
     def test_get_contains_len_iter(self, segdir, store):
         snap = open_snapshot(segdir)
         assert len(snap) == len(store)
-        assert snap.version == len(store)
         assert snap.epoch == store.epoch
         assert snap.get(A, KNOWS, B).confidence == 0.75
         assert snap.get(D, KNOWS, A) is None
@@ -225,10 +225,17 @@ class TestBlooms:
 
     def test_snapshot_counts_bloom_skips(self, segdir):
         snap = open_snapshot(segdir)
-        assert snap.get(Entity("w:nobody"), KNOWS, B) is None
-        assert list(snap.match(subject=Entity("w:nobody"))) == []
-        assert snap.stats["bloom_skips"] >= 2
-        snap.close()
+        obs.reset()
+        obs.enable()
+        try:
+            assert snap.get(Entity("w:nobody"), KNOWS, B) is None
+            assert list(snap.match(subject=Entity("w:nobody"))) == []
+            skips = obs.core.counters().get("kb.segments.bloom_skips", 0)
+        finally:
+            obs.disable()
+            obs.reset()
+            snap.close()
+        assert skips >= 2
 
 
 class TestLSMStack:

@@ -76,56 +76,6 @@ class TestAddRemove:
         assert [repr(t) for t in merged_f] == [repr(t) for t in merged_b]
 
 
-class TestVersionCounter:
-    def test_starts_at_zero_and_counts_seed_triples(self, store):
-        assert TripleStore().version == 0
-        assert store.version == 4
-
-    def test_add_bumps(self, store):
-        before = store.version
-        assert store.add(Triple(C, LIKES, A))
-        assert store.version == before + 1
-
-    def test_duplicate_noop_does_not_bump(self, store):
-        before = store.version
-        assert not store.add(Triple(A, KNOWS, B))
-        assert store.version == before
-
-    def test_witness_replacement_bumps(self):
-        store = TripleStore([Triple(A, KNOWS, B, confidence=0.4)])
-        before = store.version
-        store.add(Triple(A, KNOWS, B, confidence=0.9))
-        assert store.version == before + 1
-        # A lower-confidence duplicate changes nothing and must not bump.
-        store.add(Triple(A, KNOWS, B, confidence=0.2))
-        assert store.version == before + 1
-
-    def test_remove_bumps_only_on_success(self, store):
-        before = store.version
-        assert store.remove(Triple(A, KNOWS, B))
-        assert store.version == before + 1
-        assert not store.remove(Triple(A, KNOWS, B))
-        assert store.version == before + 1
-
-    def test_monotonic_across_mixed_mutations(self, store):
-        seen = [store.version]
-        store.add(Triple(C, LIKES, B))
-        seen.append(store.version)
-        store.remove(Triple(C, LIKES, B))
-        seen.append(store.version)
-        store.add_all([Triple(B, LIKES, C), Triple(C, KNOWS, A)])
-        seen.append(store.version)
-        assert seen == sorted(seen) and len(set(seen)) == len(seen)
-
-    def test_reads_do_not_bump(self, store):
-        before = store.version
-        list(store.match(predicate=KNOWS))
-        store.count(subject=A)
-        store.entities()
-        len(store)
-        assert store.version == before
-
-
 class TestMatch:
     def test_full_scan(self, store):
         assert len(list(store.match())) == 4
@@ -273,21 +223,18 @@ class TestEpoch:
         grown.remove(Triple(A, KNOWS, B))
         fresh = TripleStore([Triple(B, KNOWS, C)])
         assert grown.epoch == fresh.epoch
-        assert grown.version != fresh.version  # epoch ≠ version
 
     def test_copy_shares_epoch(self, store):
         assert store.copy().epoch == store.epoch
 
 
 class TestMutationCounts:
-    """add_all()/merge() report new vs replaced triples separately; the
-    return value still compares as the *new* count for old callers."""
+    """add_all()/merge() return the number of new triples as a plain int;
+    a duplicate only elects its witness."""
 
     def test_add_all_counts_only_new(self, store):
         counts = store.add_all([Triple(C, LIKES, A), Triple(A, KNOWS, B)])
-        assert counts == 1  # int compatibility: new triples only
-        assert counts.new == 1
-        assert counts.replaced == 0
+        assert counts == 1 and type(counts) is int
         assert len(store) == 5
 
     def test_replacement_is_not_new(self):
@@ -296,9 +243,6 @@ class TestMutationCounts:
             [Triple(A, KNOWS, B, confidence=0.9), Triple(B, KNOWS, C)]
         )
         assert counts == 1
-        assert counts.new == 1
-        assert counts.replaced == 1
-        assert counts.changed == 2
         assert store.get(A, KNOWS, B).confidence == 0.9
 
     def test_merge_reports_both(self):
@@ -307,12 +251,14 @@ class TestMutationCounts:
             [Triple(C, LIKES, A), Triple(A, KNOWS, B, confidence=0.99)]
         )
         counts = store.merge(other)
-        assert counts == 1 and counts.new == 1 and counts.replaced == 1
+        assert counts == 1 and type(counts) is int
+        assert store.get(A, KNOWS, B).confidence == 0.99
 
     def test_pure_duplicates_are_neither(self, store):
+        before = [repr(t) for t in store]
         counts = store.add_all([Triple(A, KNOWS, B), Triple(A, LIKES, B)])
-        assert counts == 0 and counts.new == 0 and counts.replaced == 0
-        assert counts.changed == 0
+        assert counts == 0
+        assert [repr(t) for t in store] == before
 
 
 class TestIndexHygiene:

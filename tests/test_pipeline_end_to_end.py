@@ -266,7 +266,6 @@ class TestOneStoreBuild:
         wiki, aliases = self._inputs(name, world_seed7)
         kb, __ = KnowledgeBaseBuilder(wiki, aliases=aliases).build()
         assert (_insertion_digest(kb), kb.epoch, len(kb)) == self.PINNED[name]
-        assert kb.version == len(kb)  # every add was new: no replacements
 
     def test_build_constructs_one_store(self, monkeypatch, world_seed7):
         from repro.kb import TripleStore

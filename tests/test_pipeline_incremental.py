@@ -362,9 +362,9 @@ class TestFinalStoreStaysLazy:
         ).build()
         assert report.accepted_facts > 0
         assert len(kb) == len(list(kb))
-        assert not kb.engine.indexed
+        assert not kb._indexed
         assert list(kb.match(predicate=ns.PREF_LABEL))
-        assert kb.engine.indexed
+        assert kb._indexed
         monkeypatch.undo()
         manifest = write_segments(kb, str(tmp_path / "kb"))
         assert kb.epoch == manifest["epoch"]

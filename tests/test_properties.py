@@ -215,15 +215,14 @@ class TestTripleStoreInvariants:
         # The bucket indexes are lazy: a read builds them before they are
         # inspected directly below.
         store.index_stats()
-        engine = store.engine
-        assert engine.indexed
-        keys = set(engine.keys())
+        assert store._indexed
+        keys = set(store._by_spo)
         index_views = {
-            "_by_s": engine._by_s,
-            "_by_p": engine._by_p,
-            "_by_o": engine._by_o,
-            "_by_sp": engine._by_sp,
-            "_by_po": engine._by_po,
+            "_by_s": store._by_s,
+            "_by_p": store._by_p,
+            "_by_o": store._by_o,
+            "_by_sp": store._by_sp,
+            "_by_po": store._by_po,
         }
         # 1. Every index entry points at a live key; no empty buckets linger.
         for name, index in index_views.items():
@@ -233,11 +232,11 @@ class TestTripleStoreInvariants:
         # 2. Every live key is present in all five indexes, in the right
         #    bucket.
         for s, p, o in keys:
-            assert (s, p, o) in engine._by_s[s]
-            assert (s, p, o) in engine._by_p[p]
-            assert (s, p, o) in engine._by_o[o]
-            assert (s, p, o) in engine._by_sp[(s, p)]
-            assert (s, p, o) in engine._by_po[(p, o)]
+            assert (s, p, o) in store._by_s[s]
+            assert (s, p, o) in store._by_p[p]
+            assert (s, p, o) in store._by_o[o]
+            assert (s, p, o) in store._by_sp[(s, p)]
+            assert (s, p, o) in store._by_po[(p, o)]
         # 3. Index cardinalities add up: each index partitions the key set.
         for name, index in index_views.items():
             total = sum(len(bucket) for bucket in index.values())
@@ -258,7 +257,7 @@ class TestTripleStoreInvariants:
                 store.remove(triple)
                 oracle.pop(triple.spo(), None)
         self._assert_indexes_consistent(store)
-        assert set(store.engine.keys()) == set(oracle)
+        assert set(store._by_spo) == set(oracle)
 
     @settings(max_examples=80, deadline=None)
     @given(_operations)
@@ -340,7 +339,7 @@ class TestLazyStoreEqualsEager:
     """A store whose indexes and epoch materialize on a later read (or
     only at the comparison) is indistinguishable from one that read both
     before its first add: same match order for every pattern shape, same
-    epoch, version and bucket accounting.  Both are also held to a
+    epoch and bucket accounting.  Both are also held to a
     brute-force oracle (an insertion-ordered ``spo -> Triple`` dict), so
     a maintenance bug the two would share cannot pass either."""
 
@@ -354,7 +353,7 @@ class TestLazyStoreEqualsEager:
         eager = TripleStore()
         eager.epoch
         eager.index_stats()
-        assert eager.engine.indexed
+        assert eager._indexed
         lazy = TripleStore()
         oracle: dict[tuple, Triple] = {}
         for step, (action, triple) in enumerate(operations):
@@ -369,7 +368,7 @@ class TestLazyStoreEqualsEager:
                 assert lazy.remove(triple) == eager.remove(triple)
                 oracle.pop(triple.spo(), None)
         if force_at is None or force_at >= len(operations):
-            assert not lazy.engine.indexed
+            assert not lazy._indexed
             assert lazy._epoch_acc is None
         for s, p, o in _all_patterns:
             expected = [
@@ -385,7 +384,6 @@ class TestLazyStoreEqualsEager:
             sum(triple_content_hash(t) for t in oracle.values())
         )
         assert lazy.epoch == eager.epoch == content_epoch
-        assert lazy.version == eager.version
         stats = lazy.index_stats()
         assert stats == eager.index_stats()
         assert all(index["empty"] == 0 for index in stats.values())

@@ -74,7 +74,6 @@ class TestLookup:
         assert dumps(payload) == dumps(
             {
                 "kb_epoch": store.epoch,
-                "kb_version": store.version,
                 "count": len(expected),
                 "triples": [
                     {
@@ -277,7 +276,19 @@ class TestObsIntegration:
             assert field in endpoint["latency_ms"]
 
     def test_metrics_cache_key_set(self, engine):
-        engine.lookup(predicate=BORN_IN)
+        assert sorted(engine.lookup(predicate=BORN_IN)) == [
+            "count", "kb_epoch", "triples",
+        ]
+        assert sorted(engine.topk(2, predicate=BORN_IN)) == [
+            "count", "k", "kb_epoch", "results",
+        ]
+        assert sorted(
+            engine.query([Pattern(Var("x"), BORN_IN, Var("c"))])
+        ) == ["bindings", "count", "kb_epoch", "vars"]
+        assert sorted(engine.healthz()) == ["kb_epoch", "status", "triples"]
+        assert sorted(engine.metrics()) == [
+            "cache", "endpoints", "kb_epoch", "triples",
+        ]
         assert sorted(engine.metrics()["cache"]) == [
             "capacity",
             "evictions",
@@ -395,13 +406,13 @@ class TestConcurrencyStress:
             return sum_epoch()
 
         monkeypatch.setattr(store, "_sum_epoch", counted_sum)
-        assert not store.engine.indexed and store._epoch_acc is None
+        assert not store._indexed and store._epoch_acc is None
         engine = QueryEngine(store)
         assert sums == [threading.current_thread().name]
-        assert not store.engine.indexed
+        assert not store._indexed
         for name, body in self._cold_read(engine):
             assert body == reference[name], name
-        assert store.engine.indexed
+        assert store._indexed
         assert len(sums) == 1
 
         directory = str(tmp_path / "seg")

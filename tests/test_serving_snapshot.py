@@ -1,6 +1,6 @@
 """Serving over segment snapshots: byte-identity with the in-memory
 engine, the read-only engine API, concurrent cache misses, and the store
-identity that tells two equal-version stores apart."""
+identity that tells two equal-size stores apart."""
 
 import json
 import threading
@@ -56,7 +56,7 @@ def snapshot(tmp_path):
 class TestByteIdentity:
     def test_every_endpoint_matches_in_memory_engine(self, snapshot):
         # The in-memory twin is loaded *from the snapshot* so both sides
-        # share content, epoch, version — responses must be byte-equal.
+        # share content and epoch — responses must be byte-equal.
         memory = QueryEngine(TripleStore(snapshot))
         snapped = QueryEngine(snapshot)
         calls = [
@@ -130,13 +130,13 @@ class TestImmutableServing:
 
 
 class TestRebindStaleness:
-    """Two different stores whose version counters collide: only the
-    epoch tells them apart, so it is what every response carries."""
+    """Two different stores of the same size: only the epoch tells them
+    apart, so it is what every response carries."""
 
     A, B, C = Entity("w:a"), Entity("w:b"), Entity("w:c")
     KNOWS = Relation("w:knows")
 
-    def _stores_with_colliding_versions(self):
+    def _equal_size_stores(self):
         t1 = Triple(self.A, self.KNOWS, self.B)
         t2 = Triple(self.B, self.KNOWS, self.C)
         t3 = Triple(self.A, self.KNOWS, self.C)
@@ -145,7 +145,11 @@ class TestRebindStaleness:
         second = TripleStore([t1, t2, t4])
         return first, second
 
-    def test_version_alone_cannot_tell_the_stores_apart(self):
-        first, second = self._stores_with_colliding_versions()
-        assert first.version == second.version == 3
+    def test_equal_size_stores_carry_different_epochs(self):
+        first, second = self._equal_size_stores()
+        assert len(first) == len(second) == 3
         assert first.epoch != second.epoch
+        first_health = QueryEngine(first).healthz()
+        second_health = QueryEngine(second).healthz()
+        assert first_health["triples"] == second_health["triples"]
+        assert first_health["kb_epoch"] != second_health["kb_epoch"]
