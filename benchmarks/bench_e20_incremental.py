@@ -21,6 +21,14 @@ delta ingest is than rebuilding the world from scratch.
   every repeat: the compacted incremental directory is byte-identical to
   the one-shot directory (``diff_segment_dirs == []``), and the delta
   wrote records (``added + tombstones > 0``);
+* **warm delta** — the same delta as the *second* ingest of one builder
+  (``warm s``, ``warm x`` = full / warm): the builder is reopened on a
+  fresh copy of the base directory, its first ingest (an empty batch)
+  runs the full path and leaves the pipeline's products in memory, and
+  the timed delta then recomputes only the subjects it touches.  The
+  cold delta above is a reopened builder's *first* ingest, so it stays
+  on the full path.  The compacted warm directory must also diff empty
+  against the one-shot directory;
 * **no-op floor** — the benchmark loop re-ingests one unchanged page,
   measuring the fixed cost of the incremental machinery itself
   (re-extraction of the batch page, reasoning, empty-delta detection).
@@ -115,6 +123,7 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
             final[page.title] = page
 
         delta_times, compact_times, full_times = [], [], []
+        warm_times = []
         for repeat in range(REPEATS):
             work = str(tmp_path / f"delta-{n_changed}-{repeat}")
             shutil.copytree(base, work)
@@ -125,6 +134,15 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
                 t0 = time.perf_counter()
                 builder.store.compact()
                 compact_times.append(time.perf_counter() - t0)
+
+            warm = str(tmp_path / f"warm-{n_changed}-{repeat}")
+            shutil.copytree(base, warm)
+            with IncrementalBuilder(warm) as builder:
+                builder.ingest()
+                t0 = time.perf_counter()
+                warm_report = builder.ingest(pages=changed)
+                warm_times.append(time.perf_counter() - t0)
+                builder.store.compact()
 
             oneshot = str(tmp_path / f"oneshot-{n_changed}-{repeat}")
             t0 = time.perf_counter()
@@ -137,9 +155,15 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
             full_times.append(time.perf_counter() - t0)
             assert report.added + report.tombstones > 0
             assert diff_segment_dirs(work, oneshot) == []
+            assert not warm_report.full_rebuild
+            assert (warm_report.added, warm_report.tombstones) == (
+                report.added, report.tombstones
+            )
+            assert diff_segment_dirs(warm, oneshot) == []
         delta_s = statistics.median(delta_times)
         compact_s = statistics.median(compact_times)
         full_s = statistics.median(full_times)
+        warm_s = statistics.median(warm_times)
 
         rows.append([
             f"{fraction:.0%}",
@@ -149,6 +173,9 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
             round(full_s, 3),
             round(full_s / delta_s, 1),
             round(full_s / (delta_s + compact_s), 1),
+            round(warm_s, 3),
+            round(full_s / warm_s, 1),
+            warm_report.recomputed_subjects,
             report.reextracted_pages,
             report.added,
             report.tombstones,
@@ -159,8 +186,8 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
         f"E20: delta ingest vs full rebuild ({len(titles)} pages, "
         f"{seeded.triples} triples)",
         ["delta", "pages", "delta s", "compact s", "full s", "speedup x",
-         "with compact x", "re-extracted", "added", "tombstones",
-         "byte-identical"],
+         "with compact x", "warm s", "warm x", "subjects", "re-extracted",
+         "added", "tombstones", "byte-identical"],
         rows,
     )
     benchmark.extra_info["pages"] = len(titles)
@@ -173,8 +200,11 @@ def test_e20_delta_ingest_vs_full_rebuild(benchmark, tmp_path):
         benchmark.extra_info[f"full_{tag}pct_s"] = row[4]
         benchmark.extra_info[f"speedup_{tag}pct"] = row[5]
         benchmark.extra_info[f"speedup_with_compact_{tag}pct"] = row[6]
-        benchmark.extra_info[f"added_{tag}pct"] = row[8]
-        benchmark.extra_info[f"tombstones_{tag}pct"] = row[9]
+        benchmark.extra_info[f"warm_{tag}pct_s"] = row[7]
+        benchmark.extra_info[f"speedup_warm_{tag}pct"] = row[8]
+        benchmark.extra_info[f"recomputed_subjects_{tag}pct"] = row[9]
+        benchmark.extra_info[f"added_{tag}pct"] = row[11]
+        benchmark.extra_info[f"tombstones_{tag}pct"] = row[12]
     benchmark.extra_info["byte_identical_all_deltas"] = True
 
     # The repeatable loop: re-ingest one unchanged page — the fixed cost

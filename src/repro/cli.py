@@ -305,6 +305,10 @@ def _command_ingest(args, out) -> int:
             "cached_pages": report.cached_pages,
         },
         "reasoning": {"components": report.components},
+        "subjects": {
+            "recomputed": report.recomputed_subjects,
+            "full_rebuild": report.full_rebuild,
+        },
         "delta": {
             "segment": report.segment,
             "added": report.added,
@@ -505,11 +509,18 @@ def _command_serve(args, out) -> int:
             print(f"error: cannot open segment snapshot: {error}", file=out)
             return 2
     else:
+        from .kb import TripleStore
+        from .kb.segments import spo_texts
+
         try:
-            kb = load(args.kb)
+            loaded = load(args.kb)
         except OSError as error:
             print(f"error: cannot load KB: {error}", file=out)
             return 2
+        # Fill in the order a segment snapshot yields — SPO key-byte order,
+        # which the texts' tuple order is — so every match, and so /query,
+        # answers as it does over --segments of the same build.
+        kb = TripleStore(sorted(loaded, key=spo_texts))
     server = serve_kb(
         kb,
         host=args.host,

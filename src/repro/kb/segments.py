@@ -668,6 +668,16 @@ class SegmentSnapshot:
         for parts in self._match_parts(subject, predicate, obj):
             yield _triple_from_parts(parts)
 
+    def records(
+        self,
+        subject: Optional[Resource] = None,
+        predicate: Optional[Resource] = None,
+        obj: Optional[Term] = None,
+    ) -> list[tuple[str, str, str, str]]:
+        """The live records :meth:`match` would parse, as the SPO-order
+        texts :func:`record_fields` gives, unparsed."""
+        return self._match_parts(subject, predicate, obj)
+
     def count(
         self,
         subject: Optional[Resource] = None,

@@ -11,7 +11,7 @@ order, so a build is a pure function of (wiki, aliases).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
@@ -264,24 +264,40 @@ def _bridged_types(wiki: Wiki) -> list[Triple]:
     maintain exactly such a mapping between harvested classes and the
     ontology.  Unmapped entities stay untyped (open world).
     """
-    from ..corpus.templates import CLASS_NOUNS
+    return [
+        triple
+        for page in wiki.pages.values()
+        for triple in bridged_page_types(page)
+    ]
+
+
+def bridged_page_types(page: WikiPage) -> list[Triple]:
+    """One page's share of :func:`_bridged_types`."""
     from ..taxonomy.categories import classify_category
+
+    noun_to_class = _noun_to_class()
+    bridged = []
+    for category in page.categories:
+        decision = classify_category(category.name)
+        if not decision.conceptual:
+            continue
+        mapped = noun_to_class.get(decision.head_lemma)
+        if mapped is not None:
+            bridged.append(Triple(page.entity, ns.TYPE, mapped))
+    return bridged
+
+
+@cache
+def _noun_to_class() -> dict[str, Entity]:
+    """Category head lemma -> the schema class it bridges to."""
+    from ..corpus.templates import CLASS_NOUNS
 
     noun_to_class = {
         singular: cls for cls, (singular, __) in CLASS_NOUNS.items()
     }
     noun_to_class["person"] = ws.PERSON
     noun_to_class["product"] = ws.PRODUCT
-    bridged = []
-    for page in wiki.pages.values():
-        for category in page.categories:
-            decision = classify_category(category.name)
-            if not decision.conceptual:
-                continue
-            mapped = noun_to_class.get(decision.head_lemma)
-            if mapped is not None:
-                bridged.append(Triple(page.entity, ns.TYPE, mapped))
-    return bridged
+    return noun_to_class
 
 
 def _literal(text: str):

@@ -15,8 +15,10 @@ pipeline into that maintenance loop:
   documents link against the full canonical entity catalogue instead of
   forking fresh entities per batch — the existing KB joins resolution as
   synthetic anchor mentions.
-* **Tombstoned deltas** — the rebuilt logical KB is diffed against the
-  segment stack's current logical content; disappeared keys (retractions,
+* **Tombstoned deltas** — the rebuilt records are diffed against what the
+  segment stack holds for them (its whole logical content on the full
+  path, the recomputed subjects' records otherwise; see *Subject
+  locality* below); disappeared keys (retractions,
   re-resolution flips, consistency reversals) become tombstone records in
   the delta flushed through :meth:`SegmentStore.flush`, erased for good at
   ``compact()``.  The manifest's ``epoch`` rolls forward, so a
@@ -37,6 +39,35 @@ changed is re-extracted — see :meth:`IncrementalBuilder._affected_titles`);
 and every downstream stage (noisy-or merge, canonical-order store
 assembly, content-seeded component solving) is order- and
 history-independent by the determinism contracts of PRs 2–4.
+
+**Subject locality.**  A builder's first ingest, fresh or reopened, runs
+the whole pipeline and diffs the whole KB (the *full path*).  It leaves
+its products in memory (:class:`_Products`): the pages, their parsed
+candidates, type triples and bridged types, a subject -> emitting-pages
+index, the taxonomy and each subject's component count.  Every later
+ingest recomputes only the subjects the delta touches:
+
+* every record of the KB belongs to one subject, and each family is
+  per subject: schema and hypernym-chain triples are fixed, a page's
+  type, label and prefLabel triples name the page's entity or
+  category classes, and the merge is per (s, p, o) key;
+* no consistency clause crosses a subject and component seeds come from
+  component content (:mod:`repro.extraction.consistency`), so cleaning the
+  facts of a subject set accepts exactly what a global clean accepts of
+  them — given the same taxonomy;
+* so a subject's records change only if its candidates change (the
+  subjects of the stale pages' old and new candidates), its own page
+  changes (the old and new entity and category classes of each changed
+  page), or the types of an entity one of its candidates names change.
+
+Those subjects are reassembled through the build's own stage functions
+and family order, and their records are diffed against what the segment
+snapshot holds for them.  A retraction is a set-minus after reasoning and
+recomputes nothing: a newly retracted key outside the recomputed subjects
+is tombstoned directly when it is live.  A delta that changes the class hierarchy — a
+category subclass edge appears or vanishes, as with a new category head —
+would change the taxonomy every subject is checked against, so it takes
+the full path instead (``IngestReport.full_rebuild``).
 """
 
 from __future__ import annotations
@@ -45,13 +76,24 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from typing import Iterable, Optional
 
 from ..corpus.document import Document, Sentence
 from ..corpus.social import Post
 from ..corpus.wiki import Category, Wiki, WikiPage
 from ..extraction.base import Candidate
-from ..kb import Entity, TimeSpan, Triple
+from ..extraction.consistency import ConsistencyReasoner
+from ..kb import (
+    Entity,
+    Taxonomy,
+    TimeSpan,
+    Triple,
+    canonical_triples,
+    ns,
+    string_literal,
+)
 from ..kb.rdfio import term_from_text, term_to_text
 from ..kb.segments import (
     MANIFEST_NAME,
@@ -62,10 +104,14 @@ from ..kb.segments import (
 from ..kb.store import EMPTY_EPOCH, epoch_hex
 from ..nlp.tokenizer import tokenize
 from ..obs import core as _obs
+from ..taxonomy.integration import hypernym_triples, page_type_triples
+from ..world.schema import SCHEMA_TRIPLES
+from . import builder as _builder
 from .builder import (
-    BuildReport,
+    MIN_CONFIDENCE,
     KnowledgeBaseBuilder,
     PageExtractor,
+    bridged_page_types,
     name_registrations,
 )
 
@@ -96,8 +142,15 @@ class IngestReport:
     #: Always 0: every component is solved fresh.  Kept only because the
     #: benchmark's ingest counts still read it.
     cached_components: int = 0
-    #: Consistency components in the full problem.
+    #: Consistency components of the whole KB, summed from the per-subject
+    #: counts (what a full rebuild's reasoner reports).
     components: int = 0
+    #: Subjects whose records this ingest recomputed: every subject of the
+    #: KB on a full rebuild.
+    recomputed_subjects: int = 0
+    #: Whether this ingest ran the whole pipeline: a builder's first ingest,
+    #: or a delta that changed the class hierarchy.
+    full_rebuild: bool = False
     #: Curated retractions applied to the rebuilt KB (cumulative set).
     retracted: int = 0
     #: Records written into the delta segment (new or changed witnesses).
@@ -116,8 +169,6 @@ class IngestReport:
     triples: int = 0
     #: Wall-clock seconds spent in this ingest.
     elapsed: float = 0.0
-    #: The underlying pipeline's report for the rebuild pass.
-    build: Optional[BuildReport] = None
 
 
 # ------------------------------------------------------------ state records
@@ -192,6 +243,241 @@ def _fresh_state() -> dict:
     }
 
 
+# ------------------------------------------------------ in-memory products
+
+
+@cache
+def _schema_by_subject() -> dict:
+    """The schema triples grouped by subject, in schema order."""
+    grouped: dict = {}
+    for triple in SCHEMA_TRIPLES:
+        grouped.setdefault(triple.subject, []).append(triple)
+    return grouped
+
+
+def _components_by_subject(reasoner: ConsistencyReasoner, facts) -> dict:
+    """Each subject's consistency-component count (subjects with none
+    left out): the per-subject share of ``ConsistencyReport.components``."""
+    subjects, __ = reasoner.ground_subjects(facts)
+    counts = {}
+    for clauses in subjects:
+        components = len(clauses.split()[1])
+        if components:
+            counts[clauses.triples[0].subject] = components
+    return counts
+
+
+class _Products:
+    """What the full path leaves in memory for later deltas: the pipeline's
+    per-page products, indexed by page and by subject.
+
+    ``pages`` stays in title order, as the full path's wiki is.  A page's
+    *subjects* are its entity, its candidates' subjects and its type
+    triples' subjects (the entity and its category classes): every record
+    the page contributes to belongs to one of them.
+    """
+
+    def __init__(self) -> None:
+        self.pages: dict[str, WikiPage] = {}
+        self.candidates: dict[str, list[Candidate]] = {}
+        #: Per page: :func:`page_type_triples` and the bridged types.
+        self.types: dict[str, list[Triple]] = {}
+        self.bridged: dict[str, list[Triple]] = {}
+        #: Subject -> the pages with a product about it.
+        self.emitters: dict = {}
+        #: Candidate object -> the pages with a candidate naming it.
+        self.naming: dict = {}
+        #: Category subclass edge key -> how many pages emit it.
+        self.edges: dict[tuple, int] = {}
+        #: The hypernym-chain triples, by subject (fixed while the
+        #: category edges are).
+        self.chains: dict = {}
+        #: The consistency taxonomy; None once an entity's types changed.
+        self.taxonomy: Optional[Taxonomy] = None
+        #: Subject -> consistency components (subjects with none left out).
+        self.components: dict = {}
+        #: Retracted keys the last rebuild held (so they were removed).
+        self.retracted_hits: set[tuple[str, str, str]] = set()
+        #: Built on the first delta that extracts, dropped when a name
+        #: registration changes.
+        self.extractor: Optional[PageExtractor] = None
+
+    @classmethod
+    def from_full_path(
+        cls,
+        wiki: Wiki,
+        candidates: dict[str, list[Candidate]],
+        merged: list[Triple],
+        retracted_hits: set[tuple[str, str, str]],
+    ) -> "_Products":
+        products = cls()
+        linked: set[str] = set()
+        for title, page in wiki.pages.items():
+            types, synsets = page_type_triples(page)
+            products.put(title, page, candidates[title], types)
+            linked.update(synsets)
+        for triple in hypernym_triples(linked):
+            products.chains.setdefault(triple.subject, []).append(triple)
+        products.components = _components_by_subject(
+            products.reasoner(), merged
+        )
+        products.retracted_hits = retracted_hits
+        return products
+
+    # ------------------------------------------------------------ pages
+
+    def subjects_of(self, title: str) -> set:
+        return (
+            {self.pages[title].entity}
+            | {candidate.subject for candidate in self.candidates[title]}
+            | {triple.subject for triple in self.types[title]}
+        )
+
+    def put(
+        self,
+        title: str,
+        page: WikiPage,
+        candidates: list[Candidate],
+        types: list[Triple],
+    ) -> None:
+        self.pages[title] = page
+        self.candidates[title] = candidates
+        self.types[title] = types
+        self.bridged[title] = bridged_page_types(page)
+        for subject in self.subjects_of(title):  # det: allow-unordered -- fills sets
+            self.emitters.setdefault(subject, set()).add(title)
+        for candidate in candidates:
+            self.naming.setdefault(candidate.object, set()).add(title)
+        for key in _edge_keys(types):
+            self.edges[key] = self.edges.get(key, 0) + 1
+
+    def drop(self, title: str) -> None:
+        for subject in self.subjects_of(title):  # det: allow-unordered -- empties sets
+            _discard(self.emitters, subject, title)
+        for candidate in self.candidates[title]:
+            _discard(self.naming, candidate.object, title)
+        for key in _edge_keys(self.types[title]):
+            self.edges[key] -= 1
+            if not self.edges[key]:
+                del self.edges[key]
+        for products in (self.pages, self.candidates, self.types, self.bridged):
+            del products[title]
+
+    def hierarchy_changes(self, types: dict[str, list[Triple]]) -> bool:
+        """Whether replacing these pages' type triples makes a category
+        subclass edge appear or vanish."""
+        delta: dict[tuple, int] = {}
+        for title, new in types.items():
+            for key in _edge_keys(self.types.get(title, ())):
+                delta[key] = delta.get(key, 0) - 1
+            for key in _edge_keys(new):
+                delta[key] = delta.get(key, 0) + 1
+        return any(
+            (self.edges.get(key, 0) > 0) != (self.edges.get(key, 0) + d > 0)
+            for key, d in delta.items()
+        )
+
+    # ------------------------------------------------------------ types
+
+    def direct_types(self, entity) -> set:
+        """The classes the taxonomy types ``entity`` with directly."""
+        return {
+            triple.object
+            for title in self.emitters.get(entity, ())  # det: allow-unordered -- builds a set
+            if self.pages[title].entity == entity
+            for triple in chain(self.types[title], self.bridged[title])
+            if triple.predicate == ns.TYPE and triple.subject == entity
+        }
+
+    def naming_subjects(self, entities: set) -> set:
+        """The subjects of every candidate whose object is one of
+        ``entities``."""
+        return {
+            candidate.subject
+            for entity in entities  # det: allow-unordered -- builds a set
+            for title in self.naming.get(entity, ())  # det: allow-unordered -- builds a set
+            for candidate in self.candidates[title]
+            if candidate.object == entity
+        }
+
+    def reasoner(self) -> ConsistencyReasoner:
+        """The consistency reasoner over the current taxonomy, which is
+        rebuilt the way a build loads it when types changed."""
+        if self.taxonomy is None:
+            self.taxonomy = Taxonomy(
+                chain(
+                    SCHEMA_TRIPLES,
+                    *self.types.values(),
+                    *self.chains.values(),
+                    *self.bridged.values(),
+                )
+            )
+        return ConsistencyReasoner(self.taxonomy)
+
+    # ---------------------------------------------------------- records
+
+    def records(self, subjects: list) -> tuple[list[Triple], dict]:
+        """The KB triples of ``subjects`` before retraction, as a full
+        build assembles them, plus the per-subject component counts.
+
+        Every stage runs through the build's own functions on exactly the
+        subjects' inputs, in the build's page and family order, so
+        duplicate keys elect the same witnesses.
+        """
+        wanted = set(subjects)
+        titles = sorted(
+            {title for subject in subjects for title in self.emitters.get(subject, ())}
+        )
+        candidates = [
+            candidate
+            for title in titles
+            for candidate in self.candidates[title]
+            if candidate.subject in wanted
+        ]
+        merged = _builder.candidates_to_store(
+            _builder.attach_scopes(candidates), MIN_CONFIDENCE
+        )
+        reasoner = self.reasoner()
+        facts, __ = reasoner.clean(merged)
+        own = {
+            title: self.pages[title]
+            for title in titles
+            if self.pages[title].entity in wanted
+        }
+        schema = _schema_by_subject()
+        triples = canonical_triples(
+            chain(
+                (t for s in subjects for t in schema.get(s, ())),
+                (
+                    t
+                    for title in titles
+                    for t in self.types[title]
+                    if t.subject in wanted
+                ),
+                (t for s in subjects for t in self.chains.get(s, ())),
+                facts,
+                _builder.harvest_labels(Wiki(pages=own)),
+                (
+                    Triple(page.entity, ns.PREF_LABEL, string_literal(title))
+                    for title, page in own.items()
+                ),
+            )
+        )
+        return triples, _components_by_subject(reasoner, merged)
+
+
+def _edge_keys(types: Iterable[Triple]) -> list[tuple]:
+    return [t.spo() for t in types if t.predicate == ns.SUBCLASS_OF]
+
+
+def _discard(index: dict, key, title: str) -> None:
+    titles = index.get(key)
+    if titles is not None:
+        titles.discard(title)
+        if not titles:
+            del index[key]
+
+
 # --------------------------------------------------------------- the builder
 
 
@@ -209,6 +495,9 @@ class IncrementalBuilder:
         self.directory = directory
         self.store = SegmentStore(directory, compact_threshold=compact_threshold)
         self.state = self._load_state()
+        #: The full path's products, kept for later deltas (None until this
+        #: builder's first ingest).
+        self._products: Optional[_Products] = None
 
     # --------------------------------------------------------------- state
 
@@ -348,9 +637,13 @@ class IncrementalBuilder:
         and their current records tombstoned in this delta.  With
         ``compact=True`` the generation stack is folded to canonical
         single-segment form afterwards.
+
+        The builder's first ingest runs the full path; later ones
+        recompute only the subjects the delta touches (see the module
+        docstring), unless the class hierarchy changes.
         """
         started = time.perf_counter()
-        report = IngestReport(epoch_before=self._epoch())
+        report = IngestReport(epoch_before=self._identity()[0])
         with _obs.span("pipeline.ingest"):
             batch = list(pages)
             report.batch_pages = len(batch)
@@ -361,8 +654,8 @@ class IncrementalBuilder:
             for entity, forms in (aliases or {}).items():
                 self.state["aliases"][term_to_text(entity)] = list(forms)
             retracted = {tuple(key) for key in self.state["retracted"]}
-            retracted.update(tuple(key) for key in retract)
-            self.state["retracted"] = sorted(retracted)
+            fresh = {tuple(key) for key in retract} - retracted
+            self.state["retracted"] = sorted(retracted | fresh)
             new_registrations = self._registrations()
 
             affected_names = {
@@ -376,65 +669,33 @@ class IncrementalBuilder:
 
             # Re-extract the batch plus every page an affected name can
             # reach; reuse cached candidates everywhere else.
-            stale = self._affected_titles(
-                {page.title for page in batch}, affected_names
-            )
+            batch_titles = {page.title for page in batch}
+            stale = self._affected_titles(batch_titles, affected_names)
             report.reextracted_pages = len(stale)
             report.cached_pages = report.total_pages - len(stale)
-            wiki = self._wiki()
-            builder = KnowledgeBaseBuilder(wiki, aliases=self._alias_map())
-            if stale:
-                extractor = PageExtractor(builder.resolver)
-                for title in sorted(stale):
-                    self.state["pages"][title]["candidates"] = [
-                        _candidate_record(candidate)
-                        for candidate in extractor.extract(wiki.pages[title])
-                    ]
 
-            # Full-corpus candidate list in sorted-title order — exactly
-            # what the batch pipeline's extraction stage would produce.
-            candidates = [
-                _candidate_from(record)
-                for title in sorted(self.state["pages"])
-                for record in self.state["pages"][title]["candidates"]
-            ]
-
-            # Rebuild the logical KB through the unchanged downstream
-            # stages.
-            kb, report.build = builder.build(candidates=candidates)
-            if report.build.consistency is not None:
-                report.components = report.build.consistency.components
-
-            # Curated removals: set-minus after the pipeline, so the
-            # invariant stays "full rebuild minus the same retractions".
-            for key in self.state["retracted"]:
-                if kb.remove(_retraction_probe(*key)):
-                    report.retracted += 1
-
-            # Delta derivation: diff the rebuilt KB against the segment
-            # stack's logical content.  Changed or new keys become delta
-            # records, disappeared keys become tombstones.
-            current = self.store.logical_parts()
-            rebuilt: dict[bytes, tuple] = {}
-            additions: list[Triple] = []
-            for triple in kb:
-                fields = record_fields(triple)
-                key = spo_key_bytes(fields)
-                rebuilt[key] = fields
-                if current.get(key) != fields:
-                    additions.append(triple)
-            tombstones = [
-                current[key][:3] for key in current if key not in rebuilt
-            ]
+            # The products describe the KB only once this delta is on
+            # disk: an ingest that raises leaves none, so the next one
+            # takes the full path.
+            products, self._products = self._products, None
+            delta = None
+            if products is not None:
+                delta = self._local_delta(
+                    products, batch_titles, stale, bool(affected_names),
+                    fresh, report,
+                )
+            if delta is None:
+                products, delta = self._full_delta(stale, report)
+            additions, tombstones = delta
             report.added = len(additions)
             report.tombstones = len(tombstones)
             report.segment = self.store.flush(additions, tombstones=tombstones)
             if compact:
                 report.compacted = self.store.compact() is not None
             self._save_state()
+            self._products = products
 
-            report.epoch_after = self._epoch()
-            report.triples = len(kb)
+            report.epoch_after, report.triples = self._identity()
             report.elapsed = time.perf_counter() - started
             if _obs.ENABLED:
                 _obs.count("pipeline.ingest.batches")
@@ -442,14 +703,198 @@ class IncrementalBuilder:
                 _obs.count("pipeline.ingest.tombstones", report.tombstones)
         return report
 
+    def _extract(self, extractor: PageExtractor, page: WikiPage) -> list[Candidate]:
+        """Extract one page into its state record; return the candidates
+        as the record reads back."""
+        records = [_candidate_record(c) for c in extractor.extract(page)]
+        self.state["pages"][page.title]["candidates"] = records
+        return [_candidate_from(record) for record in records]
+
+    def _full_delta(
+        self, stale: set[str], report: IngestReport
+    ) -> tuple["_Products", tuple[list[Triple], list[tuple[str, str, str]]]]:
+        """Rebuild the whole KB and diff it against the segment stack's
+        logical content; return the rebuild's products and the delta."""
+        wiki = self._wiki()
+        builder = KnowledgeBaseBuilder(wiki, aliases=self._alias_map())
+        if stale:
+            extractor = PageExtractor(builder.resolver)
+            for title in sorted(stale):
+                self._extract(extractor, wiki.pages[title])
+
+        # Per-page candidates in sorted-title order — exactly what the
+        # batch pipeline's extraction stage would produce.
+        candidates = {
+            title: [_candidate_from(r) for r in record["candidates"]]
+            for title, record in sorted(self.state["pages"].items())
+        }
+        kb, build = builder.build(
+            candidates=[c for page in candidates.values() for c in page]
+        )
+        report.components = build.consistency.components
+        report.full_rebuild = True
+
+        # Curated removals: set-minus after the pipeline, so the
+        # invariant stays "full rebuild minus the same retractions".
+        hits = {
+            tuple(key)
+            for key in self.state["retracted"]
+            if kb.remove(_retraction_probe(*key))
+        }
+        report.retracted = len(hits)
+
+        # Delta derivation: diff the rebuilt KB against the segment
+        # stack's logical content.  Changed or new keys become delta
+        # records, disappeared keys become tombstones.
+        current = self.store.logical_parts()
+        rebuilt: dict[bytes, tuple] = {}
+        additions: list[Triple] = []
+        for triple in kb:
+            fields = record_fields(triple)
+            key = spo_key_bytes(fields)
+            rebuilt[key] = fields
+            if current.get(key) != fields:
+                additions.append(triple)
+        tombstones = [
+            current[key][:3] for key in current if key not in rebuilt
+        ]
+        report.recomputed_subjects = len(
+            {fields[0] for fields in rebuilt.values()}
+        )
+        products = _Products.from_full_path(wiki, candidates, build.merged, hits)
+        return products, (additions, tombstones)
+
+    def _local_delta(
+        self,
+        products: "_Products",
+        batch_titles: set[str],
+        stale: set[str],
+        names_changed: bool,
+        fresh: set[tuple[str, str, str]],
+        report: IngestReport,
+    ) -> Optional[tuple[list[Triple], list[tuple[str, str, str]]]]:
+        """Recompute the subjects the delta touches and diff their records
+        against the snapshot's; None (nothing changed yet) when the delta
+        changes the class hierarchy."""
+        state_pages = self.state["pages"]
+        changed = {
+            title: _page_from(title, state_pages[title])
+            for title in sorted(batch_titles)
+        }
+        types = {
+            title: page_type_triples(page)[0] for title, page in changed.items()
+        }
+        if products.hierarchy_changes(types):
+            return None
+
+        # The subjects the old products of the touched pages belong to, and
+        # the types of the changed pages' entities before the change.
+        touched: set = set()
+        for title in stale:  # det: allow-unordered -- fills a set
+            if title in products.pages:
+                touched |= products.subjects_of(title)
+        entities = {page.entity for page in changed.values()} | {
+            products.pages[title].entity
+            for title in changed
+            if title in products.pages
+        }
+        typed = {entity: products.direct_types(entity) for entity in entities}  # det: allow-unordered -- builds a dict
+
+        if names_changed:
+            products.extractor = None
+        pages = {**products.pages, **changed}
+        if pages.keys() != products.pages.keys():
+            pages = dict(sorted(pages.items()))
+        for title in sorted(stale):
+            if products.extractor is None:
+                products.extractor = PageExtractor(
+                    KnowledgeBaseBuilder(
+                        Wiki(pages=pages), aliases=self._alias_map()
+                    ).resolver
+                )
+            candidates = self._extract(products.extractor, pages[title])
+            if title in types:
+                page_types = types[title]
+            else:   # re-extracted only: its own content is unchanged
+                page_types = products.types[title]
+            if title in products.pages:
+                products.drop(title)
+            products.put(title, pages[title], candidates, page_types)
+            touched |= products.subjects_of(title)
+        products.pages = pages
+
+        retyped = {e for e in entities if products.direct_types(e) != typed[e]}  # det: allow-unordered -- builds a set
+        if retyped:
+            products.taxonomy = None
+            touched |= products.naming_subjects(retyped)
+
+        ordered = sorted(touched, key=term_to_text)
+        triples, components = products.records(ordered)
+        for subject in ordered:
+            products.components.pop(subject, None)
+        products.components.update(components)
+        report.components = sum(products.components.values())
+        report.recomputed_subjects = len(ordered)
+        return self._diff_subjects(products, ordered, triples, fresh, report)
+
+    def _diff_subjects(
+        self,
+        products: "_Products",
+        subjects: list,
+        triples: list[Triple],
+        fresh: set[tuple[str, str, str]],
+        report: IngestReport,
+    ) -> tuple[list[Triple], list[tuple[str, str, str]]]:
+        """The delta: the recomputed subjects' records against the ones
+        the snapshot holds for them, plus a tombstone for each newly
+        retracted key of another subject that is live."""
+        retracted = {tuple(key) for key in self.state["retracted"]}
+        texts = {term_to_text(subject) for subject in subjects}
+        hits = {key for key in products.retracted_hits if key[0] not in texts}
+        rebuilt: dict[bytes, tuple] = {}
+        for triple in triples:
+            fields = record_fields(triple)
+            if fields[:3] in retracted:
+                hits.add(fields[:3])
+            else:
+                rebuilt[spo_key_bytes(fields)] = (fields, triple)
+        additions: list[Triple] = []
+        tombstones: list[tuple[str, str, str]] = []
+        if not os.path.exists(os.path.join(self.directory, MANIFEST_NAME)):
+            additions = [triple for __, triple in rebuilt.values()]
+        else:
+            with self.store.snapshot() as snapshot:
+                for subject in subjects:
+                    for fields in snapshot.records(subject=subject):
+                        key = spo_key_bytes(fields)
+                        if key not in rebuilt:
+                            tombstones.append(fields[:3])
+                        elif rebuilt[key][0] == fields:
+                            del rebuilt[key]
+                additions = [triple for __, triple in rebuilt.values()]
+                for key in sorted(fresh):
+                    if key[0] in texts:
+                        continue
+                    probe = _retraction_probe(*key)
+                    if snapshot.records(
+                        probe.subject, probe.predicate, probe.object
+                    ):
+                        tombstones.append(key)
+                        hits.add(key)
+        products.retracted_hits = hits
+        report.retracted = len(hits)
+        return additions, tombstones
+
     # -------------------------------------------------------------- queries
 
-    def _epoch(self) -> str:
+    def _identity(self) -> tuple[str, int]:
+        """The manifest's epoch and logical triple count."""
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         if not os.path.exists(manifest_path):
-            return epoch_hex(EMPTY_EPOCH)
+            return epoch_hex(EMPTY_EPOCH), 0
         with open(manifest_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)["epoch"]
+            manifest = json.load(handle)
+        return manifest["epoch"], manifest["triples"]
 
 
 def _contains_sequence(haystack: list[str], needles: list[list[str]]) -> bool:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from ..kb import Entity, Triple, TripleStore, canonical_triples, ns
-from ..corpus.wiki import Wiki
+from ..corpus.wiki import Wiki, WikiPage
 from ..world import schema as ws
 from ..world.names import identifier_from_name
 from .categories import classify_category
@@ -85,41 +86,73 @@ def integration_triples(
     report = IntegrationReport()
     linked_synsets: set[str] = set()
     for page in wiki.pages.values():
-        report.pages += 1
-        typed = False
-        for category in page.categories:
-            decision = classify_category(
-                category.name,
-                use_plural_heuristic=use_plural_heuristic,
-                use_stoplist=use_stoplist,
-            )
-            if not decision.conceptual:
-                report.rejected_categories += 1
-                continue
-            report.conceptual_categories += 1
-            fine_class = category_class(category.name)
-            triples.append(Triple(page.entity, ns.TYPE, fine_class))
-            typed = True
-            synset = wordnet.first_synset(decision.head_lemma)
-            if synset is None:
-                report.unanchored_heads[decision.head_lemma] += 1
-                continue
-            report.anchored_heads[decision.head_lemma] += 1
-            triples.append(
-                Triple(fine_class, ns.SUBCLASS_OF, wordnet_class(synset.id))
-            )
-            linked_synsets.add(synset.id)
-        if typed:
-            report.typed_entities += 1
-    # The upper taxonomy: hypernym chains of every linked synset.
-    for synset_id in sorted(linked_synsets):
+        page_triples, synsets = page_type_triples(
+            page, wordnet, use_plural_heuristic, use_stoplist, report
+        )
+        triples.extend(page_triples)
+        linked_synsets.update(synsets)
+    triples.extend(hypernym_triples(linked_synsets, wordnet))
+    return canonical_triples(triples), report
+
+
+def page_type_triples(
+    page: WikiPage,
+    wordnet: MiniWordNet = WORDNET,
+    use_plural_heuristic: bool = True,
+    use_stoplist: bool = True,
+    report: Optional[IntegrationReport] = None,
+) -> tuple[list[Triple], list[str]]:
+    """One page's share of :func:`integration_triples`: the entity's type
+    triple and the class's subclass triple for each conceptual category,
+    in category order, plus the synset ids those categories anchor to.
+    Each category decides alone, so a page's share depends on that page
+    only.  Counts go into ``report`` when one is given."""
+    report = report if report is not None else IntegrationReport()
+    triples: list[Triple] = []
+    synsets: list[str] = []
+    report.pages += 1
+    typed = False
+    for category in page.categories:
+        decision = classify_category(
+            category.name,
+            use_plural_heuristic=use_plural_heuristic,
+            use_stoplist=use_stoplist,
+        )
+        if not decision.conceptual:
+            report.rejected_categories += 1
+            continue
+        report.conceptual_categories += 1
+        fine_class = category_class(category.name)
+        triples.append(Triple(page.entity, ns.TYPE, fine_class))
+        typed = True
+        synset = wordnet.first_synset(decision.head_lemma)
+        if synset is None:
+            report.unanchored_heads[decision.head_lemma] += 1
+            continue
+        report.anchored_heads[decision.head_lemma] += 1
+        triples.append(
+            Triple(fine_class, ns.SUBCLASS_OF, wordnet_class(synset.id))
+        )
+        synsets.append(synset.id)
+    if typed:
+        report.typed_entities += 1
+    return triples, synsets
+
+
+def hypernym_triples(
+    synset_ids: Iterable[str], wordnet: MiniWordNet = WORDNET
+) -> list[Triple]:
+    """The upper taxonomy: the hypernym chain of every linked synset, as
+    subclass triples, synsets in sorted id order."""
+    triples: list[Triple] = []
+    for synset_id in sorted(set(synset_ids)):
         current = synset_id
         for hypernym in wordnet.hypernym_closure(synset_id):
             triples.append(
                 Triple(wordnet_class(current), ns.SUBCLASS_OF, wordnet_class(hypernym.id))
             )
             current = hypernym.id
-    return canonical_triples(triples), report
+    return triples
 
 
 def integrate(

@@ -14,7 +14,7 @@ import pytest
 from repro.corpus import build_wiki
 from repro.corpus.document import Document, Sentence
 from repro.corpus.social import SocialConfig, generate_stream
-from repro.corpus.wiki import WikiPage
+from repro.corpus.wiki import Category, WikiPage
 from repro.determinism.stable import canonical_kb_text
 from repro.kb import ns
 from repro.kb.segments import (
@@ -31,6 +31,7 @@ from repro.pipeline import (
 from repro.pipeline.incremental import STATE_NAME
 from repro.serving import QueryEngine
 from repro.world import WorldConfig, generate_world
+from repro.world import schema as ws
 
 
 @pytest.fixture(scope="module")
@@ -452,3 +453,171 @@ class TestResolverBuiltOnUse:
             report = builder.ingest()
             assert report.reextracted_pages == 0
             assert calls == []
+
+
+# ------------------------------------------------------- warm delta stream
+
+#: World size of the warm-stream test; CI's incremental job runs it at 40.
+WARM_PEOPLE = int(os.environ.get("REPRO_WARM_STREAM_PEOPLE", "30"))
+
+#: The schema key the determinism harness retracts.
+SCHEMA_KEY = ("<cls:location>", "<<rdfs:subClassOf>>", "<kb:Thing>")
+
+
+def _edited(page, **changes):
+    fields = dict(
+        title=page.title,
+        entity=page.entity,
+        document=page.document,
+        infobox=dict(page.infobox),
+        categories=list(page.categories),
+        interlanguage=dict(page.interlanguage),
+    )
+    fields.update(changes)
+    return WikiPage(**fields)
+
+
+class TestWarmDeltaStream:
+    """One builder through a stream of deltas: after every delta its
+    snapshot holds what a one-shot ingest of the same corpus holds, and
+    after compaction the directories are byte-identical.  Every delta
+    after the first ingest is subject-local except the one that brings a
+    new category head."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_world(WorldConfig(seed=7, n_people=WARM_PEOPLE))
+
+    def test_every_delta_equals_a_one_shot_ingest(self, tmp_path, world):
+        wiki = build_wiki(world)
+        pages = dict(wiki.pages)
+        aliases = dict(world.aliases)
+        retracted: list = []
+        directory = str(tmp_path / "warm")
+        oneshots = iter(range(100))
+
+        def one_shot(compact=False):
+            path = str(tmp_path / f"oneshot-{next(oneshots)}")
+            with IncrementalBuilder(path) as fresh:
+                report = fresh.ingest(
+                    pages=[pages[t] for t in sorted(pages)],
+                    aliases=aliases, retract=retracted, compact=compact,
+                )
+            return path, report
+
+        def check(report, full_rebuild=False):
+            path, expected = one_shot()
+            with open_snapshot(directory) as mine, open_snapshot(path) as theirs:
+                assert canonical_kb_text(mine) == canonical_kb_text(theirs)
+            assert report.full_rebuild is full_rebuild
+            assert report.components == expected.components
+            assert report.retracted == expected.retracted
+            assert report.triples == expected.triples
+            if not full_rebuild:
+                assert report.recomputed_subjects < expected.recomputed_subjects
+
+        def born_in(snapshot, city):
+            return snapshot.count(predicate=ws.BORN_IN, obj=city)
+
+        builder = IncrementalBuilder(directory)
+        try:
+            first = builder.ingest(
+                pages=[pages[t] for t in sorted(pages)], aliases=aliases
+            )
+            check(first, full_rebuild=True)
+
+            # A sentence-only edit: one more (conflicting) birthplace.
+            person = next(
+                p for t, p in sorted(pages.items()) if "born" in p.infobox
+            )
+            city = next(
+                t for t, p in sorted(pages.items())
+                if "population" in p.infobox and t != person.infobox["born"]
+            )
+            sentences = list(person.document.sentences) + [
+                Sentence(f"{person.title} was born in {city}.")
+            ]
+            pages[person.title] = _edited(
+                person,
+                document=Document(person.document.doc_id, sentences),
+            )
+            report = builder.ingest(pages=[pages[person.title]])
+            assert report.reextracted_pages == 1
+            assert report.recomputed_subjects > 0
+            check(report)
+
+            # A category edit that retypes a city other facts name as
+            # object: its people lose their birthplace to the range check.
+            home = next(
+                p.infobox["born"] for t, p in sorted(pages.items())
+                if "born" in p.infobox and p.infobox["born"] in pages
+            )
+            writers = next(
+                c for p in pages.values() for c in p.categories
+                if c.name.endswith(" writers")
+            )
+            target = pages[home].entity
+            with open_snapshot(directory) as snapshot:
+                assert born_in(snapshot, target) > 0
+            pages[home] = _edited(pages[home], categories=[writers])
+            report = builder.ingest(pages=[pages[home]])
+            assert report.recomputed_subjects > 1
+            check(report)
+            with open_snapshot(directory) as snapshot:
+                assert born_in(snapshot, target) == 0
+
+            # A new category head changes the class hierarchy: the counted
+            # fallback to the full path.
+            page = pages[sorted(pages)[0]]
+            pages[page.title] = _edited(
+                page,
+                categories=page.categories
+                + [Category("Famous physicists", conceptual=True)],
+            )
+            report = builder.ingest(pages=[pages[page.title]])
+            check(report, full_rebuild=True)
+
+            # An alias that other pages mention: affected names reach
+            # pages outside the batch.
+            titles = sorted(pages)
+            mentioned = next(
+                t for t in titles[1:]
+                if any(
+                    t in sentence.text
+                    for other in titles if other != t
+                    for sentence in pages[other].document.sentences
+                )
+            )
+            entity = pages[titles[0]].entity
+            aliases[entity] = list(aliases.get(entity, [])) + [mentioned]
+            report = builder.ingest(aliases={entity: aliases[entity]})
+            assert report.affected_names >= 1
+            assert report.reextracted_pages >= 1
+            check(report)
+
+            # A fact retraction and a schema-key retraction.
+            with open_snapshot(directory) as snapshot:
+                fact = spo_texts(
+                    next(iter(snapshot.match(predicate=ws.BORN_IN)))
+                )
+            retracted.extend([fact, SCHEMA_KEY])
+            report = builder.ingest(retract=[fact, SCHEMA_KEY])
+            # A retraction is a set-minus after reasoning: its live keys
+            # are tombstoned, and no subject is recomputed.
+            assert report.tombstones == 2 and report.added == 0
+            assert report.recomputed_subjects == 0
+            check(report)
+
+            # Re-ingesting an unchanged page flushes nothing.
+            epoch = report.epoch_after
+            report = builder.ingest(pages=[pages[titles[3]]])
+            assert report.segment is None
+            assert report.added == report.tombstones == 0
+            assert report.epoch_after == epoch
+            check(report)
+
+            builder.store.compact()
+        finally:
+            builder.close()
+        path, __ = one_shot(compact=True)
+        assert diff_segment_dirs(directory, path) == []

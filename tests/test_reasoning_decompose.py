@@ -520,7 +520,12 @@ class TestPerSubjectCleanMatchesGlobalOracle:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_clean_equals_the_oracle(name, monkeypatch):
     """At full scenario size: the facts and taxonomy one build cleans,
-    cleaned per subject and through the global oracle."""
+    cleaned per subject and through the global oracle.  Cleaning the
+    facts of any subject subset accepts exactly the oracle's accepted
+    facts of those subjects, which lets an ingest re-reason only the
+    subjects a delta touches."""
+    import random
+
     captured = []
     clean = ConsistencyReasoner.clean
 
@@ -535,3 +540,21 @@ def test_scenario_clean_equals_the_oracle(name, monkeypatch):
     reasoner = ConsistencyReasoner(taxonomy)
     expected, expected_report = _global_oracle(reasoner, facts)
     assert clean(reasoner, facts) == (expected, expected_report)
+
+    subjects = sorted({fact.subject for fact in facts}, key=repr)
+    rng = random.Random(name)
+    for subset in [subjects[:1]] + [
+        rng.sample(subjects, rng.randint(1, len(subjects) // 2))
+        for __ in range(8)
+    ]:
+        wanted = set(subset)
+        accepted, __ = clean(
+            reasoner, [fact for fact in facts if fact.subject in wanted]
+        )
+        assert accepted == [t for t in expected if t.subject in wanted]
+    # Component counts add up over a partition of the subjects.
+    assert expected_report.components == sum(
+        clean(reasoner, [f for f in facts if f.subject in half])[1].components
+        for half in (set(subjects[::2]), set(subjects[1::2]))
+    )
+

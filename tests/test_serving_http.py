@@ -309,3 +309,52 @@ class TestGracefulShutdown:
         server.stop()
         server.stop()
         assert self.serve_threads() - baseline == set()
+
+
+class TestQueryOrderAcrossStores:
+    """``repro serve --kb`` fills its store in the order a segment snapshot
+    yields, so a limited ``/query`` picks the same bindings from ``--kb``
+    and from ``--segments`` of one build."""
+
+    def test_limited_query_agrees_between_kb_and_segments(
+        self, tmp_path, monkeypatch
+    ):
+        nt, segments = str(tmp_path / "kb.nt"), str(tmp_path / "seg")
+        code = main(
+            ["build", "--seed", "7", "--people", "40", "--out", nt,
+             "--segments", segments],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        served = []
+
+        class Loaded:
+            """Stands in for the server: keeps the store the CLI loaded."""
+
+            address = ("127.0.0.1", 0)
+            workers = 1
+
+            def run_forever(self):
+                pass
+
+        def capture(kb, **__):
+            served.append(kb)
+            return Loaded()
+
+        monkeypatch.setattr("repro.serving.serve_kb", capture)
+        for source in (["--kb", nt], ["--segments", segments]):
+            assert main(["serve", *source], out=io.StringIO()) == 0
+        monkeypatch.undo()
+
+        query = {"patterns": [["?x", "<<rdfs:prefLabel>>", "?y"]], "limit": 7}
+        bodies = []
+        try:
+            for kb in served:
+                with serve_kb(kb, port=0, workers=1) as running:
+                    status, body = http_post(running.url + "/query", query)
+                assert status == 200
+                bodies.append(body)
+        finally:
+            served[1].close()
+        assert json.loads(bodies[0])["count"] == 7
+        assert bodies[0] == bodies[1]
