@@ -510,17 +510,18 @@ def _command_serve(args, out) -> int:
             return 2
     else:
         from .kb import TripleStore
+        from .kb.rdfio import read_ntriples
         from .kb.segments import spo_texts
 
-        try:
-            loaded = load(args.kb)
-        except OSError as error:
-            print(f"error: cannot load KB: {error}", file=out)
-            return 2
         # Fill in the order a segment snapshot yields — SPO key-byte order,
         # which the texts' tuple order is — so every match, and so /query,
         # answers as it does over --segments of the same build.
-        kb = TripleStore(sorted(loaded, key=spo_texts))
+        try:
+            with open(args.kb, "r", encoding="utf-8") as handle:
+                kb = TripleStore(sorted(read_ntriples(handle), key=spo_texts))
+        except OSError as error:
+            print(f"error: cannot load KB: {error}", file=out)
+            return 2
     server = serve_kb(
         kb,
         host=args.host,

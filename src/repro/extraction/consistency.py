@@ -30,7 +30,7 @@ monolithic-versus-decomposed comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -58,6 +58,8 @@ class ConsistencyReport:
     components: int = 0
     largest_component: int = 0
     trivial_vars: int = 0
+    #: Subject -> its share of ``components`` (subjects with none left out).
+    subject_components: dict = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -174,7 +176,9 @@ class ConsistencyReasoner:
         with _obs.span("consistency.clean"):
             with _obs.span("consistency.ground"):
                 subjects, report = self.ground_subjects(candidates)
-                problem, decomposition, variables = self._decompose(subjects)
+                problem, decomposition, variables = self._decompose(
+                    subjects, report
+                )
             report.components = len(decomposition.components)
             report.largest_component = decomposition.largest_component
             report.trivial_vars = len(decomposition.trivial)
@@ -291,11 +295,12 @@ class ConsistencyReasoner:
         return SubjectClauses(names, triples, functional, types, disjoint)
 
     def _decompose(
-        self, subjects: list[SubjectClauses]
+        self, subjects: list[SubjectClauses], report: ConsistencyReport
     ) -> tuple[WeightedMaxSat, Decomposition, list[list[Optional[_Fact]]]]:
         """The components' clauses as one instance, their decomposition,
         and per subject each fact's solver variable (None for a fact
-        accepted closed-form).
+        accepted closed-form); each subject's component count goes into
+        ``report``.
 
         Each component's clauses are contiguous in the instance and in the
         global instance's order: its soft units in key order, then its
@@ -310,6 +315,10 @@ class ConsistencyReasoner:
         for subject in subjects:
             facts = [_Fact(name) for name in subject.names]
             free, components = subject.split()
+            if components:
+                report.subject_components[subject.triples[0].subject] = len(
+                    components
+                )
             for index in free:
                 decomposition.trivial[facts[index]] = True
                 facts[index] = None

@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
-from ..kb import Entity, Taxonomy, Triple, TripleStore, ns
+from ..kb import Entity, Taxonomy, Triple, TripleStore, ns, string_literal
 from ..corpus.wiki import Wiki, WikiPage
 from ..extraction.base import Candidate
 from ..extraction.consistency import ConsistencyReasoner, ConsistencyReport
@@ -231,14 +231,11 @@ class KnowledgeBaseBuilder:
                 labels = harvest_labels(self.wiki)
                 report.label_triples = len(labels)
             with _obs.span("pipeline.labels"):
-                pref_labels = [
-                    Triple(page.entity, ns.PREF_LABEL, _literal(title))
-                    for title, page in self.wiki.pages.items()
-                ]
+                pref_labels = pref_label_triples(self.wiki.pages)
 
             with _obs.span("pipeline.assemble"):
                 kb = TripleStore(
-                    chain(schema, type_triples, facts, labels, pref_labels)
+                    kb_families(schema, type_triples, facts, labels, pref_labels)
                 )
         return kb, report
 
@@ -300,10 +297,29 @@ def _noun_to_class() -> dict[str, Entity]:
     return noun_to_class
 
 
-def _literal(text: str):
-    from ..kb import string_literal
+def pref_label_triples(pages: Mapping[str, WikiPage]) -> list[Triple]:
+    """Each page's entity named by its title, in page order."""
+    return [
+        Triple(page.entity, ns.PREF_LABEL, string_literal(title))
+        for title, page in pages.items()
+    ]
 
-    return string_literal(text)
+
+def kb_families(
+    schema: Iterable[Triple],
+    types: Iterable[Triple],
+    facts: Iterable[Triple],
+    labels: Iterable[Triple],
+    pref_labels: Iterable[Triple],
+) -> Iterator[Triple]:
+    """The KB's triple families in assembly order: schema, types and
+    hypernyms, accepted facts, labels, prefLabels.
+
+    Where two triples share an (s, p, o) key, the store keeps the first of
+    the highest confidence, so this order elects the witnesses; every
+    assembly of KB triples, whole or per subject, goes through here.
+    """
+    return chain(schema, types, facts, labels, pref_labels)
 
 
 def emit_segments(kb: TripleStore, directory: str) -> dict:

@@ -42,10 +42,12 @@ history-independent by the determinism contracts of PRs 2–4.
 
 **Subject locality.**  A builder's first ingest, fresh or reopened, runs
 the whole pipeline and diffs the whole KB (the *full path*).  It leaves
-its products in memory (:class:`_Products`): the pages, their parsed
-candidates, type triples and bridged types, a subject -> emitting-pages
-index, the taxonomy and each subject's component count.  Every later
-ingest recomputes only the subjects the delta touches:
+what it already has in memory (:class:`_Products`): the pages, their
+parsed candidates and each subject's component count from the build's
+own clean.  The next delta indexes them once — per-page type triples and
+bridged types, a subject -> emitting-pages index, the taxonomy — and
+every ingest after the first recomputes only the subjects the delta
+touches:
 
 * every record of the KB belongs to one subject, and each family is
   per subject: schema and hypernym-chain triples are fixed, a page's
@@ -92,7 +94,6 @@ from ..kb import (
     Triple,
     canonical_triples,
     ns,
-    string_literal,
 )
 from ..kb.rdfio import term_from_text, term_to_text
 from ..kb.segments import (
@@ -112,7 +113,9 @@ from .builder import (
     KnowledgeBaseBuilder,
     PageExtractor,
     bridged_page_types,
+    kb_families,
     name_registrations,
+    pref_label_triples,
 )
 
 #: Name of the builder's persisted state file inside the segment directory.
@@ -255,18 +258,6 @@ def _schema_by_subject() -> dict:
     return grouped
 
 
-def _components_by_subject(reasoner: ConsistencyReasoner, facts) -> dict:
-    """Each subject's consistency-component count (subjects with none
-    left out): the per-subject share of ``ConsistencyReport.components``."""
-    subjects, __ = reasoner.ground_subjects(facts)
-    counts = {}
-    for clauses in subjects:
-        components = len(clauses.split()[1])
-        if components:
-            counts[clauses.triples[0].subject] = components
-    return counts
-
-
 class _Products:
     """What the full path leaves in memory for later deltas: the pipeline's
     per-page products, indexed by page and by subject.
@@ -274,12 +265,25 @@ class _Products:
     ``pages`` stays in title order, as the full path's wiki is.  A page's
     *subjects* are its entity, its candidates' subjects and its type
     triples' subjects (the entity and its category classes): every record
-    the page contributes to belongs to one of them.
+    the page contributes to belongs to one of them.  The full path hands
+    over only what it already has; the indexes are built by :meth:`index`
+    on the first delta that reads them, so a builder that ingests once
+    never pays for them.
     """
 
-    def __init__(self) -> None:
-        self.pages: dict[str, WikiPage] = {}
-        self.candidates: dict[str, list[Candidate]] = {}
+    def __init__(
+        self,
+        pages: dict[str, WikiPage],
+        candidates: dict[str, list[Candidate]],
+        components: dict,
+        retracted_hits: set[tuple[str, str, str]],
+    ) -> None:
+        self.pages = pages
+        self.candidates = candidates
+        #: Subject -> consistency components (subjects with none left out).
+        self.components = components
+        #: Retracted keys the last rebuild held (so they were removed).
+        self.retracted_hits = retracted_hits
         #: Per page: :func:`page_type_triples` and the bridged types.
         self.types: dict[str, list[Triple]] = {}
         self.bridged: dict[str, list[Triple]] = {}
@@ -292,37 +296,27 @@ class _Products:
         #: The hypernym-chain triples, by subject (fixed while the
         #: category edges are).
         self.chains: dict = {}
-        #: The consistency taxonomy; None once an entity's types changed.
+        #: The consistency taxonomy; None until read, and again once an
+        #: entity's types changed.
         self.taxonomy: Optional[Taxonomy] = None
-        #: Subject -> consistency components (subjects with none left out).
-        self.components: dict = {}
-        #: Retracted keys the last rebuild held (so they were removed).
-        self.retracted_hits: set[tuple[str, str, str]] = set()
         #: Built on the first delta that extracts, dropped when a name
         #: registration changes.
         self.extractor: Optional[PageExtractor] = None
+        self.indexed = False
 
-    @classmethod
-    def from_full_path(
-        cls,
-        wiki: Wiki,
-        candidates: dict[str, list[Candidate]],
-        merged: list[Triple],
-        retracted_hits: set[tuple[str, str, str]],
-    ) -> "_Products":
-        products = cls()
+    def index(self) -> None:
+        """Index every page by type triples, subjects and candidate
+        objects, and collect the hypernym chains (once)."""
+        if self.indexed:
+            return
         linked: set[str] = set()
-        for title, page in wiki.pages.items():
+        for title, page in self.pages.items():
             types, synsets = page_type_triples(page)
-            products.put(title, page, candidates[title], types)
+            self._index_page(title, types)
             linked.update(synsets)
         for triple in hypernym_triples(linked):
-            products.chains.setdefault(triple.subject, []).append(triple)
-        products.components = _components_by_subject(
-            products.reasoner(), merged
-        )
-        products.retracted_hits = retracted_hits
-        return products
+            self.chains.setdefault(triple.subject, []).append(triple)
+        self.indexed = True
 
     # ------------------------------------------------------------ pages
 
@@ -342,6 +336,10 @@ class _Products:
     ) -> None:
         self.pages[title] = page
         self.candidates[title] = candidates
+        self._index_page(title, types)
+
+    def _index_page(self, title: str, types: list[Triple]) -> None:
+        page, candidates = self.pages[title], self.candidates[title]
         self.types[title] = types
         self.bridged[title] = bridged_page_types(page)
         for subject in self.subjects_of(title):  # det: allow-unordered -- fills sets
@@ -437,8 +435,7 @@ class _Products:
         merged = _builder.candidates_to_store(
             _builder.attach_scopes(candidates), MIN_CONFIDENCE
         )
-        reasoner = self.reasoner()
-        facts, __ = reasoner.clean(merged)
+        facts, consistency = self.reasoner().clean(merged)
         own = {
             title: self.pages[title]
             for title in titles
@@ -446,24 +443,23 @@ class _Products:
         }
         schema = _schema_by_subject()
         triples = canonical_triples(
-            chain(
+            kb_families(
                 (t for s in subjects for t in schema.get(s, ())),
-                (
-                    t
-                    for title in titles
-                    for t in self.types[title]
-                    if t.subject in wanted
+                chain(
+                    (
+                        t
+                        for title in titles
+                        for t in self.types[title]
+                        if t.subject in wanted
+                    ),
+                    (t for s in subjects for t in self.chains.get(s, ())),
                 ),
-                (t for s in subjects for t in self.chains.get(s, ())),
                 facts,
                 _builder.harvest_labels(Wiki(pages=own)),
-                (
-                    Triple(page.entity, ns.PREF_LABEL, string_literal(title))
-                    for title, page in own.items()
-                ),
+                pref_label_triples(own),
             )
         )
-        return triples, _components_by_subject(reasoner, merged)
+        return triples, consistency.subject_components
 
 
 def _edge_keys(types: Iterable[Triple]) -> list[tuple]:
@@ -703,12 +699,12 @@ class IncrementalBuilder:
                 _obs.count("pipeline.ingest.tombstones", report.tombstones)
         return report
 
-    def _extract(self, extractor: PageExtractor, page: WikiPage) -> list[Candidate]:
-        """Extract one page into its state record; return the candidates
-        as the record reads back."""
+    def _extract(self, extractor: PageExtractor, page: WikiPage) -> list[list]:
+        """Extract one page into its state record; return the record's
+        candidate list."""
         records = [_candidate_record(c) for c in extractor.extract(page)]
         self.state["pages"][page.title]["candidates"] = records
-        return [_candidate_from(record) for record in records]
+        return records
 
     def _full_delta(
         self, stale: set[str], report: IngestReport
@@ -761,7 +757,9 @@ class IncrementalBuilder:
         report.recomputed_subjects = len(
             {fields[0] for fields in rebuilt.values()}
         )
-        products = _Products.from_full_path(wiki, candidates, build.merged, hits)
+        products = _Products(
+            wiki.pages, candidates, build.consistency.subject_components, hits
+        )
         return products, (additions, tombstones)
 
     def _local_delta(
@@ -776,6 +774,7 @@ class IncrementalBuilder:
         """Recompute the subjects the delta touches and diff their records
         against the snapshot's; None (nothing changed yet) when the delta
         changes the class hierarchy."""
+        products.index()
         state_pages = self.state["pages"]
         changed = {
             title: _page_from(title, state_pages[title])
@@ -812,7 +811,10 @@ class IncrementalBuilder:
                         Wiki(pages=pages), aliases=self._alias_map()
                     ).resolver
                 )
-            candidates = self._extract(products.extractor, pages[title])
+            candidates = [
+                _candidate_from(record)
+                for record in self._extract(products.extractor, pages[title])
+            ]
             if title in types:
                 page_types = types[title]
             else:   # re-extracted only: its own content is unchanged

@@ -457,8 +457,8 @@ class TestResolverBuiltOnUse:
 
 # ------------------------------------------------------- warm delta stream
 
-#: World size of the warm-stream test; CI's incremental job runs it at 40.
-WARM_PEOPLE = int(os.environ.get("REPRO_WARM_STREAM_PEOPLE", "30"))
+#: World size of the warm-stream test.
+WARM_PEOPLE = 40
 
 #: The schema key the determinism harness retracts.
 SCHEMA_KEY = ("<cls:location>", "<<rdfs:subClassOf>>", "<kb:Thing>")

@@ -340,6 +340,11 @@ def _global_oracle(reasoner: ConsistencyReasoner, candidates, seed: int = 0):
     decomposition = decompose(problem)
     result = solve_decomposed(problem, seed=seed, decomposition=decomposition)
     report.components = len(decomposition.components)
+    for component in decomposition.components:
+        subject = component.variables[0][0]
+        report.subject_components[subject] = (
+            report.subject_components.get(subject, 0) + 1
+        )
     report.largest_component = decomposition.largest_component
     report.trivial_vars = len(decomposition.trivial)
     report.soft_cost = result.soft_cost
