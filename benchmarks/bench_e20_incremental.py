@@ -11,8 +11,11 @@ delta ingest is than rebuilding the world from scratch.
   components, flush one tombstoned delta generation) against a one-shot
   rebuild of the same final corpus.  The compaction that folds the delta
   generation back into canonical form is timed apart (``compact s``): it
-  reads, re-hashes and rewrites the whole stack, so folded into the
-  delta time it would hide any saving on the ingest side.  The table
+  merges the delta into the base segment's raw records and re-sums the
+  epoch over every live record.  The delta runs in a reopened builder,
+  whose store has memoized only the delta's record hashes, so this
+  compaction parses every base record once (a cold memo); a long-lived
+  builder's compactions find them memoized.  The table
   gives both ratios over the full rebuild: ``speedup x`` is full / delta,
   ``with compact x`` is full / (delta + compact).  Each time is the
   median of ``REPEATS`` runs, the delta on a fresh copy of the base

@@ -48,14 +48,21 @@ reads, counts, and the epoch.
 
 A flush never reads the stack as a whole: the manifest's count and epoch
 (an additive multiset hash) are carried forward by one bloom-guarded
-point lookup per written key, and verified against a full recompute at
-``compact()``.  ``compact()`` folds the stack back to the **canonical
-single-segment form**: generation 0 (``seg-000000``), with every
-tombstone — and everything it shadowed — erased for good, so a compacted
-directory is byte-identical to :func:`write_segments` of the same logical
-content.  Replaced files are rewritten atomically (tmp + ``os.replace``)
-and old ones unlinked; because POSIX keeps unlinked-but-open mmaps
-readable, snapshots opened before a compaction keep working lock-free.
+point lookup per written key, and verified at ``compact()`` against a
+sum over every live record.  ``compact()`` folds the stack back to the
+**canonical single-segment form**: generation 0 (``seg-000000``), with
+every tombstone — and everything it shadowed — erased for good, so a
+compacted directory is byte-identical to :func:`write_segments` of the
+same logical content.  It is a **merge**: the base segment's records are
+copied as raw bytes (never decoded), minus the witnesses the newer
+generations shadow and its own tombstones, and the newer generations —
+the only ones decoded — are sorted in.  The per-record epoch element is
+memoized in the :class:`SegmentStore`, keyed by the exact ``.spo``
+record bytes, so the full check re-parses a record only on a memo miss
+(a freshly opened store pays for every record once).  Replaced files are
+rewritten atomically (tmp + ``os.replace``) and old ones unlinked;
+because POSIX keeps unlinked-but-open mmaps readable, snapshots opened
+before a compaction keep working lock-free.
 
 :class:`SegmentSnapshot` is the read side: a cheap, immutable,
 lock-free view satisfying :class:`~repro.kb.store.ReadableStore`, with
@@ -67,6 +74,7 @@ snapshot (see ``_match_parts``).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import mmap
 import os
@@ -171,6 +179,29 @@ def spo_key_bytes(fields: tuple[str, str, str, str]) -> bytes:
     return _prefix_bytes(fields[:3])
 
 
+#: How every tombstone record ends, in any order: annotations are the last
+#: field and hold no NUL, so the bytes after the last NUL are exactly them.
+_TOMBSTONE_TAIL = b"\x00" + TOMBSTONE.encode("ascii")
+
+
+def _spo_key_of(record: bytes) -> bytes:
+    """The SPO key of a ``.spo`` record: its bytes up to the annotations."""
+    return record[:record.rindex(b"\x00") + 1]
+
+
+def _permute_spo_record(record: bytes, order: str) -> bytes:
+    """A ``.spo`` record re-encoded for ``order``, without decoding it."""
+    fields = record.split(b"\x00", 3)
+    return b"\x00".join([fields[i] for i in _PERM[order]] + [fields[3]])
+
+
+def _record_hash(record: bytes) -> int:
+    """The epoch element of one live ``.spo`` record: the content hash of
+    the triple it parses to (see ``triple_content_hash``)."""
+    fields = _parts_from_record(record, "spo")
+    return triple_content_hash(_triple_from_parts(fields))
+
+
 # ---------------------------------------------------------------- blooms
 
 
@@ -180,7 +211,9 @@ class BloomFilter:
     The two 64-bit hash lanes come from a single 16-byte blake2b digest
     (first 8 bytes and last 8 bytes, little-endian; the second lane is
     forced odd), probing ``(h1 + i * h2) mod num_bits`` — deterministic
-    across processes, no per-run salts.
+    across processes, no per-run salts.  :meth:`build` reduces both lanes
+    modulo ``num_bits`` once and steps additively, which sets the same
+    bits without big-integer products.
     """
 
     __slots__ = ("num_bits", "num_hashes", "bits")
@@ -196,10 +229,18 @@ class BloomFilter:
         keys = list(keys)
         num_bits = max(64, len(keys) * bits_per_key)
         num_bits += (-num_bits) % 8
-        bloom = cls(num_bits, num_hashes, bytearray(num_bits // 8))
+        bits = bytearray(num_bits // 8)
+        blake2b, from_bytes = hashlib.blake2b, int.from_bytes
         for key in keys:
-            bloom.add(key)
-        return bloom
+            digest = blake2b(key, digest_size=16).digest()
+            bit = from_bytes(digest[:8], "little") % num_bits
+            step = (from_bytes(digest[8:], "little") | 1) % num_bits
+            for _ in range(num_hashes):
+                bits[bit >> 3] |= 1 << (bit & 7)
+                bit += step
+                if bit >= num_bits:
+                    bit -= num_bits
+        return cls(num_bits, num_hashes, bits)
 
     def _probes(self, key: bytes) -> Iterator[int]:
         digest = hashlib.blake2b(key, digest_size=16).digest()
@@ -207,10 +248,6 @@ class BloomFilter:
         h2 = int.from_bytes(digest[8:], "little") | 1
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % self.num_bits
-
-    def add(self, key: bytes) -> None:
-        for bit in self._probes(key):
-            self.bits[bit >> 3] |= 1 << (bit & 7)
 
     def might_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means possibly present."""
@@ -251,15 +288,12 @@ def _unpack_blooms(blob: bytes) -> dict[str, BloomFilter]:
 def _pack_order_file(order: str, records: list[bytes]) -> bytes:
     """Serialize sorted records into one order file's bytes."""
     heap = b"".join(records)
-    chunks = [_HEADER.pack(SEGMENT_MAGIC, f"{order}\x00".encode("ascii"),
-                           FORMAT_VERSION, len(records), len(heap))]
-    offset = 0
-    for record in records:
-        chunks.append(_U64.pack(offset))
-        offset += len(record)
-    chunks.append(_U64.pack(offset))
-    chunks.append(heap)
-    return b"".join(chunks)
+    offsets = struct.pack(
+        f"<{len(records) + 1}Q", 0, *itertools.accumulate(map(len, records))
+    )
+    header = _HEADER.pack(SEGMENT_MAGIC, f"{order}\x00".encode("ascii"),
+                          FORMAT_VERSION, len(records), len(heap))
+    return b"".join((header, offsets, heap))
 
 
 class _OrderFile:
@@ -314,6 +348,15 @@ class _OrderFile:
         for i in range(lo, hi):
             yield self.record(i)
 
+    def all_records(self) -> list[bytes]:
+        """Every record as raw bytes, in file (byte) order: one unpack of
+        the offset table, no decoding."""
+        offsets = struct.unpack_from(
+            f"<{self.count + 1}Q", self._mm, self._offsets_at
+        )
+        heap = self._mm[self._heap_at:]
+        return [heap[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
     def close(self) -> None:
         self._mm.close()
         self._file.close()
@@ -361,8 +404,8 @@ def _logical_epoch(parts_by_key: dict[bytes, tuple[str, str, str, str]]) -> str:
     loaded from the ``.nt`` file, a store loaded from this snapshot, and
     the snapshot itself all agree on the epoch."""
     accumulator = EMPTY_EPOCH
-    for key in sorted(parts_by_key):
-        accumulator += triple_content_hash(_triple_from_parts(parts_by_key[key]))
+    for fields in parts_by_key.values():
+        accumulator += triple_content_hash(_triple_from_parts(fields))
     return epoch_hex(accumulator)
 
 
@@ -391,33 +434,49 @@ def _write_segment_files(
     from live triples."""
     for fields in parts:
         _check_no_nul(fields)
-    tombstones = sum(1 for fields in parts if is_tombstone(fields))
+    return _write_sorted_segment(
+        directory,
+        name,
+        {
+            order: sorted(_record_bytes(fields, order) for fields in parts)
+            for order in ORDERS
+        },
+        sum(1 for fields in parts if is_tombstone(fields)),
+    )
+
+
+def _write_sorted_segment(
+    directory: str, name: str, records: dict[str, list[bytes]], tombstones: int
+) -> dict:
+    """Write one segment from its records already encoded and sorted per
+    order (``tombstones`` of them retractions); return its manifest entry.
+    The blooms are keyed off the ``.spo`` records, so the writer never
+    decodes a record."""
     entry_files: dict[str, dict] = {}
     for order in ORDERS:
-        records = sorted(_record_bytes(fields, order) for fields in parts)
-        blob = _pack_order_file(order, records)
+        ordered = records[order]
+        blob = _pack_order_file(order, ordered)
         _replace_file(os.path.join(directory, f"{name}.{order}"), blob)
         entry_files[order] = {
             "bytes": len(blob),
             "sha256": hashlib.sha256(blob).hexdigest(),
-            "min_key": records[0].hex() if records else "",
-            "max_key": records[-1].hex() if records else "",
+            "min_key": ordered[0].hex() if ordered else "",
+            "max_key": ordered[-1].hex() if ordered else "",
         }
+    spo = records["spo"]
     blooms = {
-        "spo": BloomFilter.build(spo_key_bytes(fields) for fields in parts),
-        "s": BloomFilter.build(
-            sorted({fields[0].encode("utf-8") for fields in parts})
-        ),
+        "spo": BloomFilter.build(_spo_key_of(record) for record in spo),
+        "s": BloomFilter.build({record[:record.index(b"\x00")] for record in spo}),
     }
     bloom_blob = _pack_blooms(blooms)
     _replace_file(os.path.join(directory, f"{name}.blooms"), bloom_blob)
     if _obs.ENABLED:
         _obs.count("kb.segments.write")
-        _obs.observe("kb.segments.write.triples", len(parts))
+        _obs.observe("kb.segments.write.triples", len(spo))
     entry = {
         "name": name,
         "generation": int(name.split("-")[1]),
-        "triples": len(parts) - tombstones,
+        "triples": len(spo) - tombstones,
         "files": entry_files,
         "blooms": {
             "bytes": len(bloom_blob),
@@ -511,6 +570,16 @@ class _OpenSegment:
             with open(path, "rb") as handle:
                 self._blooms = _unpack_blooms(handle.read())
         return self._blooms[name]
+
+    def witness(self, key: bytes) -> Optional[bytes]:
+        """This segment's ``.spo`` record for SPO ``key``, or None: the
+        ``spo`` bloom first, then a binary search past false positives."""
+        if not self.bloom("spo").might_contain(key):
+            return None
+        handle = self.order_file("spo")
+        at = handle.lower_bound(key)
+        record = handle.record(at) if at < handle.count else b""
+        return record if record.startswith(key) else None
 
     def close(self) -> None:
         for handle in self._orders.values():
@@ -748,6 +817,12 @@ class SegmentStore:
     lock; readers never take it — they open :class:`SegmentSnapshot`
     views, which stay valid across compaction because POSIX keeps
     unlinked files readable while mapped.
+
+    The store memoizes the epoch element of each record it has hashed,
+    keyed by the exact ``.spo`` record bytes (a pure function of them, so
+    a hit equals a recompute): ``flush`` fills it for the records it
+    writes, ``compact`` prunes it to the live records.  It lives only in
+    memory and only under the lock; a reopened store starts empty.
     """
 
     def __init__(self, directory: str, compact_threshold: int = 4) -> None:
@@ -756,6 +831,7 @@ class SegmentStore:
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
         self._closed = False
+        self._hashes: dict[bytes, int] = {}
 
     # ------------------------------------------------------------- helpers
 
@@ -770,9 +846,7 @@ class SegmentStore:
             os.path.join(self.directory, f"{entry['name']}.spo"), "spo"
         )
         try:
-            return [
-                _parts_from_record(r, "spo") for r in handle.records(0, handle.count)
-            ]
+            return [_parts_from_record(r, "spo") for r in handle.all_records()]
         finally:
             handle.close()
 
@@ -800,15 +874,17 @@ class SegmentStore:
 
         The epoch is an additive multiset hash, so a written key only needs
         its current witness: the first record for the key in the older
-        generations, newest first (``spo`` bloom, then a binary search of
-        the ``.spo`` file).  A live witness leaves the multiset and a live
-        new record joins it; a tombstone does neither.  Both sides hash
-        the parsed record, never an in-memory triple, because ``conf=`` is
-        stored at ``.6g`` and only the round-tripped value matches the
-        epoch a full read computes.
+        generations, newest first (:meth:`_OpenSegment.witness`).  A live
+        witness leaves the multiset and a live new record joins it; a
+        tombstone does neither.  Both sides hash the record bytes, never an
+        in-memory triple, because ``conf=`` is stored at ``.6g`` and only
+        the round-tripped value matches the epoch a full read computes.
+        The new records' hashes go into the memo; a witness's comes from
+        it when present.
         """
         accumulator = int(manifest["epoch"], 16)
         count = manifest["triples"]
+        memo = self._hashes
         segments = [
             _OpenSegment(self.directory, entry)
             for entry in sorted(
@@ -818,25 +894,70 @@ class SegmentStore:
         try:
             for key, fields in records.items():
                 for segment in segments:
-                    if not segment.bloom("spo").might_contain(key):
+                    witness = segment.witness(key)
+                    if witness is None:
                         continue
-                    handle = segment.order_file("spo")
-                    at = handle.lower_bound(key)
-                    record = handle.record(at) if at < handle.count else b""
-                    if not record.startswith(key):
-                        continue    # a bloom false positive
-                    witness = _parts_from_record(record, "spo")
-                    if not is_tombstone(witness):
-                        accumulator -= triple_content_hash(_triple_from_parts(witness))
+                    if not witness.endswith(_TOMBSTONE_TAIL):
+                        known = memo.get(witness)
+                        accumulator -= (
+                            _record_hash(witness) if known is None else known
+                        )
                         count -= 1
                     break
                 if not is_tombstone(fields):
-                    accumulator += triple_content_hash(_triple_from_parts(fields))
+                    element = triple_content_hash(_triple_from_parts(fields))
+                    memo[_record_bytes(fields, "spo")] = element
+                    accumulator += element
                     count += 1
         finally:
             for segment in segments:
                 segment.close()
         return epoch_hex(accumulator), count
+
+    def _merged_records(self, entries: list[dict]) -> dict[str, list[bytes]]:
+        """Every order file of the stack ``entries`` folded into one, as
+        sorted record bytes with no tombstone left.
+
+        The oldest generation (the base) is read as raw records and never
+        decoded: each order keeps the base records minus the witnesses
+        the newer generations shadow and minus the base's own tombstones,
+        plus the newer generations' live records, and one sort merges the
+        two sorted runs.  Only the newer generations are decoded —
+        newest wins — so the work beyond copying bytes is O(delta).
+        """
+        base, newer = entries[0], entries[1:]
+        delta = _dedup_newest_wins(
+            self._segment_parts(entry) for entry in reversed(newer)
+        )
+        segment = _OpenSegment(self.directory, base)
+        try:
+            shadowed = [
+                witness
+                for witness in map(segment.witness, delta)
+                if witness is not None
+            ]
+            base_records = {
+                order: segment.order_file(order).all_records() for order in ORDERS
+            }
+        finally:
+            segment.close()
+        live = [fields for fields in delta.values() if not is_tombstone(fields)]
+        base_tombstones = bool(base.get("tombstones"))
+        merged: dict[str, list[bytes]] = {}
+        for order in ORDERS:
+            records = base_records[order]
+            gone = {_permute_spo_record(witness, order) for witness in shadowed}
+            if gone or base_tombstones:
+                records = [
+                    record
+                    for record in records
+                    if record not in gone
+                    and not (base_tombstones and record.endswith(_TOMBSTONE_TAIL))
+                ]
+            records += sorted(_record_bytes(fields, order) for fields in live)
+            records.sort()
+            merged[order] = records
+        return merged
 
     # -------------------------------------------------------------- writes
 
@@ -854,10 +975,11 @@ class SegmentStore:
         :meth:`compact`.  The manifest's logical count and epoch are
         carried forward from the previous manifest by one point lookup per
         written key (:meth:`_carry_identity`), so a flush costs O(delta)
-        rather than a read of the whole stack; :meth:`compact` verifies
-        the carried values against a full recompute.  A flush that leaves
+        rather than a read of the whole stack; the hash of every record it
+        writes is memoized for :meth:`compact`, which verifies the carried
+        values against a sum over every live record.  A flush that leaves
         more than ``compact_threshold`` segments compacts the stack before
-        returning.
+        returning, unless the store was closed in between.
         """
         parts = [record_fields(t) for t in triples]
         dead = [tombstone_fields(*key) for key in tombstones]
@@ -889,7 +1011,9 @@ class SegmentStore:
             _write_manifest(self.directory, manifest)
             live = len(manifest["segments"])
         if live > self.compact_threshold:
-            self.compact()
+            with self._lock:
+                if not self._closed:    # a close() in between makes it final
+                    self._compact()
         return name
 
     #: The canonical segment name compaction folds the stack into.
@@ -906,64 +1030,77 @@ class SegmentStore:
         Returns the canonical segment name (None when the directory is
         already canonical or empty).  Replaced files are swapped atomically
         and stale ones unlinked, which existing snapshots survive (their
-        mmaps stay valid).
+        mmaps stay valid).  Raises ``ValueError`` on a closed store.
 
-        Compaction is also where the epoch and count that :meth:`flush`
-        carries forward are checked: both are recomputed from the merged
-        content, and a mismatch with the manifest raises ``ValueError``
-        before any file is written (``seg-000000`` is rewritten in place,
-        so a later raise would strand the live manifest)."""
+        Compaction is a merge (:meth:`_merged_records`): the base segment
+        is copied as sorted byte runs and only the newer generations are
+        decoded.  It is also where the epoch and count that :meth:`flush`
+        carries forward are checked, in full: the epoch is re-summed over
+        every live record — from the memo, parsing a record only on a miss
+        — and a mismatch with the manifest raises ``ValueError`` before any
+        file is written (``seg-000000`` is rewritten in place, so a later
+        raise would strand the live manifest).  The memo is then pruned to
+        the live records."""
         with self._lock:
-            manifest = self._manifest()
-            old_entries = manifest["segments"]
-            if not old_entries:
-                return None
-            if (
-                len(old_entries) == 1
-                and old_entries[0]["name"] == self._CANONICAL
-                and not old_entries[0].get("tombstones")
-            ):
-                return None
-            if _obs.ENABLED:
-                _obs.count("kb.segments.compact")
-            logical = self._logical_parts(manifest)
-            epoch = _logical_epoch(logical)
-            if (epoch, len(logical)) != (manifest["epoch"], manifest["triples"]):
-                raise ValueError(
-                    f"{self.directory}: manifest carries epoch "
-                    f"{manifest['epoch']} with {manifest['triples']} triples, "
-                    f"but its segments hold epoch {epoch} with "
-                    f"{len(logical)} triples"
-                )
-            entry = _write_segment_files(
-                self.directory,
-                self._CANONICAL,
-                [logical[k] for k in sorted(logical)],
+            if self._closed:
+                raise ValueError("SegmentStore is closed")
+            return self._compact()
+
+    def _compact(self) -> Optional[str]:
+        manifest = self._manifest()
+        old_entries = manifest["segments"]
+        if not old_entries:
+            return None
+        if (
+            len(old_entries) == 1
+            and old_entries[0]["name"] == self._CANONICAL
+            and not old_entries[0].get("tombstones")
+        ):
+            return None
+        if _obs.ENABLED:
+            _obs.count("kb.segments.compact")
+        records = self._merged_records(
+            sorted(old_entries, key=lambda e: e["generation"])
+        )
+        memo, hashes = self._hashes, {}
+        for record in records["spo"]:
+            element = memo.get(record)
+            hashes[record] = _record_hash(record) if element is None else element
+        epoch = epoch_hex(sum(hashes.values()))
+        if (epoch, len(hashes)) != (manifest["epoch"], manifest["triples"]):
+            raise ValueError(
+                f"{self.directory}: manifest carries epoch "
+                f"{manifest['epoch']} with {manifest['triples']} triples, "
+                f"but its segments hold epoch {epoch} with "
+                f"{len(hashes)} triples"
             )
-            manifest = {
-                "format_version": FORMAT_VERSION,
-                "epoch": epoch,
-                "triples": len(logical),
-                "segments": [entry],
-            }
-            _write_manifest(self.directory, manifest)
-            for old in old_entries:
-                if old["name"] == self._CANONICAL:
-                    continue    # its files were just atomically replaced
-                for suffix in ORDERS + ("blooms",):
-                    path = os.path.join(self.directory, f"{old['name']}.{suffix}")
-                    if os.path.exists(path):
-                        os.unlink(path)
-            return self._CANONICAL
+        entry = _write_sorted_segment(self.directory, self._CANONICAL, records, 0)
+        _write_manifest(self.directory, {
+            "format_version": FORMAT_VERSION,
+            "epoch": epoch,
+            "triples": len(hashes),
+            "segments": [entry],
+        })
+        self._hashes = hashes
+        for old in old_entries:
+            if old["name"] == self._CANONICAL:
+                continue    # its files were just atomically replaced
+            for suffix in ORDERS + ("blooms",):
+                path = os.path.join(self.directory, f"{old['name']}.{suffix}")
+                if os.path.exists(path):
+                    os.unlink(path)
+        return self._CANONICAL
 
     def snapshot(self) -> SegmentSnapshot:
         """A lock-free read view of the current manifest."""
         return SegmentSnapshot(self.directory)
 
     def close(self) -> None:
-        """Make the store final: further flushes raise."""
+        """Make the store final: further flushes and compactions raise.
+        Drops the hash memo."""
         with self._lock:
             self._closed = True
+            self._hashes = {}
 
     def __repr__(self) -> str:
         return f"SegmentStore(dir={self.directory!r})"

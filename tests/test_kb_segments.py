@@ -2,18 +2,22 @@
 
 Covers the byte-pinned file format, the snapshot read path against the
 in-memory store as an oracle, bloom-filter behavior, LSM newest-wins
-semantics, compaction, the epoch and count a flush carries forward (and
+semantics, merge compaction (against ``write_segments``, with the hash
+memo warm and cold), the epoch and count a flush carries forward (and
 compaction checks), and the directory differ that every
 ``repro check-determinism`` run uses to compare its segment files with
 run 0's.
 """
 
+import hashlib
 import json
 import os
 import random
+import shutil
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.kb import (
@@ -28,7 +32,9 @@ from repro.kb import (
     string_literal,
     write_segments,
 )
+from repro.kb.store import triple_content_hash
 from repro.kb.segments import (
+    BLOOM_HASHES,
     BLOOM_MAGIC,
     SEGMENT_MAGIC,
     BloomFilter,
@@ -37,6 +43,7 @@ from repro.kb.segments import (
     _parts_from_record,
     _read_manifest,
     _record_bytes,
+    _triple_from_parts,
     record_fields,
     spo_key_bytes,
     spo_texts,
@@ -63,6 +70,15 @@ def _segment_names(directory):
         for name in os.listdir(directory)
         if name.startswith("seg-")
     }
+
+
+def _contents(directory):
+    """Every file in ``directory``, name to bytes."""
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
 
 
 @pytest.fixture
@@ -214,6 +230,27 @@ class TestBlooms:
         bloom = BloomFilter.build(keys)
         for key in keys:
             assert bloom.might_contain(key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.binary(max_size=24), max_size=120),
+        st.integers(min_value=1, max_value=16),
+    )
+    def test_build_sets_the_double_hashing_bits(self, keys, bits_per_key):
+        # Reference: the (h1 + i * h2) mod num_bits probe sequence.
+        bloom = BloomFilter.build(keys, bits_per_key=bits_per_key)
+        num_bits = max(64, len(keys) * bits_per_key)
+        num_bits += (-num_bits) % 8
+        expected = bytearray(num_bits // 8)
+        for key in keys:
+            digest = hashlib.blake2b(key, digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "little")
+            h2 = int.from_bytes(digest[8:], "little") | 1
+            for i in range(BLOOM_HASHES):
+                bit = (h1 + i * h2) % num_bits
+                expected[bit >> 3] |= 1 << (bit & 7)
+        assert (bloom.num_bits, bloom.num_hashes) == (num_bits, BLOOM_HASHES)
+        assert bloom.bits == expected
 
     def test_absent_keys_mostly_skipped(self):
         keys = [f"k{i}".encode() for i in range(200)]
@@ -416,12 +453,47 @@ class TestWriterRaces:
 
     def test_close_is_final(self, tmp_path, store):
         seg = SegmentStore(str(tmp_path / "lsm"))
-        seg.flush(sorted(store, key=repr))
+        triples = sorted(store, key=repr)
+        seg.flush(triples[:3])
+        seg.flush(triples[3:])
+        assert seg._hashes
         seg.close()
+        assert seg._hashes == {}
+        before = _contents(seg.directory)
         with pytest.raises(ValueError, match="closed"):
             seg.flush([Triple(A, KNOWS, D)])
+        with pytest.raises(ValueError, match="closed"):
+            seg.compact()
+        assert _contents(seg.directory) == before
         # Idempotent close; content unchanged.
         seg.close()
+        with open_snapshot(seg.directory) as snap:
+            assert snap.epoch == store.epoch
+
+    def test_flush_racing_close_skips_its_compaction(self, tmp_path, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=1)
+        triples = sorted(store, key=repr)
+        seg.flush(triples[:2])
+
+        class CloseAfterFirstRelease:
+            """The store's lock, with a close() landing the moment the
+            flush's write releases it and before its compaction."""
+
+            def __init__(self):
+                self.lock, self.armed = threading.Lock(), True
+
+            def __enter__(self):
+                self.lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self.lock.release()
+                if self.armed:
+                    self.armed = False
+                    seg.close()
+
+        seg._lock = CloseAfterFirstRelease()
+        assert seg.flush(triples[2:]) == "seg-000001"
+        assert _segment_names(seg.directory) == {"seg-000000", "seg-000001"}
         with open_snapshot(seg.directory) as snap:
             assert snap.epoch == store.epoch
 
@@ -460,50 +532,56 @@ def _bloom_false_positives(directory, keys):
     return hits
 
 
+def _random_triple(index, confidence):
+    # Unrounded confidences: the record stores ``conf=`` at .6g, so only
+    # the round-tripped record hashes to the on-disk epoch.
+    subject = Entity(f"w:s{index % 17}")
+    predicate = KNOWS if index % 2 else LIKES
+    return Triple(subject, predicate, Entity(f"w:o{index}"), confidence=confidence)
+
+
+def _random_flushes(rng, steps, keys=240):
+    """Random flush batches over ``keys`` SPO keys.  Each step yields
+    ``(adds, kills, kinds, live)``: the triples and tombstone keys to
+    flush, the kinds of change drawn, and the live content (index to
+    triple) the stack must hold once the batch is flushed."""
+    live: dict[int, Triple] = {}
+    retracted: set[int] = set()
+    for _ in range(steps):
+        adds, kills, kinds = [], [], set()
+        for index in rng.sample(range(keys), rng.randint(1, 30)):
+            if index in live:
+                kind = rng.choice(("conf", "same", "kill"))
+            elif index in retracted:
+                kind = rng.choice(("readd", "kill-again"))
+            else:
+                kind = rng.choice(("add", "add", "kill-absent"))
+            kinds.add(kind)
+            if kind == "same":
+                adds.append(live[index])
+            elif kind in ("conf", "add", "readd"):
+                live[index] = _random_triple(index, rng.random())
+                retracted.discard(index)
+                adds.append(live[index])
+            else:
+                triple = live.pop(index, None) or _random_triple(index, 1.0)
+                retracted.add(index)
+                kills.append(spo_texts(triple))
+        yield adds, kills, kinds, live
+
+
 class TestCarriedIdentity:
     """``flush`` carries the manifest's epoch and count forward by point
     lookups instead of re-reading the stack; ``compact`` verifies them."""
-
-    KEYS = 240
-
-    @staticmethod
-    def _triple(index, confidence):
-        # Unrounded confidences: the record stores ``conf=`` at .6g, so
-        # only the round-tripped record hashes to the on-disk epoch.
-        subject = Entity(f"w:s{index % 17}")
-        predicate = KNOWS if index % 2 else LIKES
-        return Triple(
-            subject, predicate, Entity(f"w:o{index}"), confidence=confidence
-        )
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_random_flush_sequences_match_full_recompute(self, tmp_path, seed):
         rng = random.Random(seed)
         seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
-        live: dict[int, Triple] = {}
-        retracted: set[int] = set()
         false_positives = 0
         kinds_seen = set()
-        for step in range(70):
-            adds, kills = [], []
-            for index in rng.sample(range(self.KEYS), rng.randint(1, 30)):
-                if index in live:
-                    kind = rng.choice(("conf", "same", "kill"))
-                elif index in retracted:
-                    kind = rng.choice(("readd", "kill-again"))
-                else:
-                    kind = rng.choice(("add", "add", "kill-absent"))
-                kinds_seen.add(kind)
-                if kind == "same":
-                    adds.append(live[index])
-                elif kind in ("conf", "add", "readd"):
-                    live[index] = self._triple(index, rng.random())
-                    retracted.discard(index)
-                    adds.append(live[index])
-                else:
-                    triple = live.pop(index, None) or self._triple(index, 1.0)
-                    retracted.add(index)
-                    kills.append(spo_texts(triple))
+        for adds, kills, kinds, live in _random_flushes(rng, 70):
+            kinds_seen |= kinds
             written = [spo_key_bytes(record_fields(t)) for t in adds] + [
                 spo_key_bytes(key + ("",)) for key in kills
             ]
@@ -553,15 +631,177 @@ class TestCarriedIdentity:
         manifest["epoch"] = f"{int(manifest['epoch'], 16) ^ 1:032x}"
         with open(path, "w") as handle:
             json.dump(manifest, handle)
-
-        def contents():
-            return {
-                name: open(os.path.join(seg.directory, name), "rb").read()
-                for name in sorted(os.listdir(seg.directory))
-            }
-
-        before = contents()
+        before = _contents(seg.directory)
         with pytest.raises(ValueError, match="epoch"):
             seg.compact()
-        assert contents() == before
+        assert _contents(seg.directory) == before
+        seg.close()
+
+    @pytest.mark.parametrize("memo", ["warm", "cold"])
+    @pytest.mark.parametrize("field", ["epoch", "triples"])
+    def test_compact_rejects_a_wrong_carried_identity_from_either_memo(
+        self, tmp_path, store, memo, field
+    ):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        seg.flush(triples[:3])
+        seg.flush(
+            [Triple(A, KNOWS, B, confidence=0.123456789)] + triples[3:],
+            tombstones=[spo_texts(triples[1])],
+        )
+        live = {
+            _record_bytes(fields, "spo")
+            for fields in seg.logical_parts().values()
+        }
+        if memo == "cold":
+            seg.close()
+            seg = SegmentStore(seg.directory, compact_threshold=100)
+            assert seg._hashes == {}
+        else:
+            # Every live record's hash is memoized: the check parses none.
+            assert live <= set(seg._hashes)
+        path = os.path.join(seg.directory, "MANIFEST.json")
+        manifest = json.load(open(path))
+        if field == "epoch":
+            manifest["epoch"] = f"{int(manifest['epoch'], 16) ^ 1:032x}"
+        else:
+            manifest["triples"] += 1
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        before = _contents(seg.directory)
+        with pytest.raises(ValueError, match="manifest carries epoch"):
+            seg.compact()
+        assert _contents(seg.directory) == before
+        seg.close()
+
+
+def _compact_without_reading_the_base(seg, monkeypatch):
+    """``seg.compact()`` with ``_segment_parts`` refusing the base
+    segment: only the newer generations may be decoded."""
+    decode = SegmentStore._segment_parts
+
+    def refuse_base(self, entry):
+        if entry["name"] == "seg-000000":
+            raise AssertionError("compaction decoded the base segment")
+        return decode(self, entry)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SegmentStore, "_segment_parts", refuse_base)
+        return seg.compact()
+
+
+class TestMergeCompaction:
+    """``compact`` merges the newer generations into the base segment's
+    raw records and re-sums the epoch from memoized record hashes; the
+    result must equal a fresh ``write_segments`` byte for byte, whether
+    the memo is warm or the store was just reopened."""
+
+    def _compact_and_check(self, seg, tmp_path, monkeypatch):
+        cold = str(tmp_path / "cold")
+        shutil.rmtree(cold, ignore_errors=True)
+        shutil.copytree(seg.directory, cold)
+        _compact_without_reading_the_base(seg, monkeypatch)
+
+        logical = seg.logical_parts()
+        oneshot = str(tmp_path / "oneshot")
+        write_segments([_triple_from_parts(f) for f in logical.values()], oneshot)
+        assert diff_segment_dirs(seg.directory, oneshot) == []
+        # The memo holds exactly the live records, each with its hash.
+        assert seg._hashes == {
+            _record_bytes(fields, "spo"): triple_content_hash(
+                _triple_from_parts(fields)
+            )
+            for fields in logical.values()
+        }
+
+        reopened = SegmentStore(cold, compact_threshold=100)
+        _compact_without_reading_the_base(reopened, monkeypatch)
+        reopened.close()
+        assert diff_segment_dirs(seg.directory, cold) == []
+        return logical
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_random_stacks_merge_to_write_segments(
+        self, tmp_path, monkeypatch, seed
+    ):
+        rng = random.Random(seed)
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        compactions = 0
+        for adds, kills, _, live in _random_flushes(rng, 40):
+            seg.flush(adds, tombstones=kills)
+            if rng.random() < 0.25:
+                logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+                assert len(logical) == len(live)
+                compactions += 1
+        self._compact_and_check(seg, tmp_path, monkeypatch)
+        seg.close()
+        assert compactions >= 5
+
+    def test_base_that_carries_tombstones(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        absent = spo_texts(Triple(C, KNOWS, D))
+        seg.flush(triples, tombstones=[absent])
+        assert _read_manifest(seg.directory)["segments"][0]["tombstones"] == 1
+        seg.flush([Triple(D, KNOWS, A)], tombstones=[spo_texts(triples[2])])
+        self._compact_and_check(seg, tmp_path, monkeypatch)
+        seg.flush([], tombstones=[absent])
+        seg.flush([], tombstones=[spo_texts(triples[0])])
+        self._compact_and_check(seg, tmp_path, monkeypatch)
+        seg.close()
+
+    def test_base_tombstone_alone(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        seg.flush(
+            sorted(store, key=repr), tombstones=[spo_texts(Triple(C, KNOWS, D))]
+        )
+        logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+        assert len(logical) == len(store)
+        assert "tombstones" not in _read_manifest(seg.directory)["segments"][0]
+        seg.close()
+
+    def test_confidence_only_change(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        seg.flush(sorted(store, key=repr))
+        seg.flush([Triple(A, KNOWS, B, confidence=0.3141592653)])
+        logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+        assert logical[spo_key_bytes(record_fields(Triple(A, KNOWS, B)))][3] == (
+            "conf=0.314159"
+        )
+        seg.close()
+
+    def test_tombstoned_then_re_added(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        victim = triples[1]
+        seg.flush(triples)
+        seg.flush([], tombstones=[spo_texts(victim)])
+        seg.flush([victim])
+        logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+        assert len(logical) == len(triples)
+        seg.flush([], tombstones=[spo_texts(victim)])
+        self._compact_and_check(seg, tmp_path, monkeypatch)
+        seg.flush([Triple(*victim.spo(), confidence=0.5)])
+        self._compact_and_check(seg, tmp_path, monkeypatch)
+        seg.close()
+
+    def test_stack_of_tombstones_only(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        seg.flush(triples)
+        for triple in triples[:3]:
+            seg.flush([], tombstones=[spo_texts(triple)])
+        logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+        assert len(logical) == len(triples) - 3
+        seg.close()
+
+    def test_stack_whose_result_is_empty(self, tmp_path, monkeypatch, store):
+        seg = SegmentStore(str(tmp_path / "lsm"), compact_threshold=100)
+        triples = sorted(store, key=repr)
+        seg.flush(triples[:2])
+        seg.flush(triples[2:], tombstones=[spo_texts(triples[0])])
+        seg.flush([], tombstones=[spo_texts(t) for t in triples[1:]])
+        logical = self._compact_and_check(seg, tmp_path, monkeypatch)
+        assert logical == {} and seg._hashes == {}
+        assert _read_manifest(seg.directory)["triples"] == 0
         seg.close()
